@@ -16,7 +16,7 @@ FUZZ_ROUNDS ?= 25
 
 .PHONY: test bench bench-all bench-check bench-stream bench-serve bench-qa \
 	bench-scaling bench-columnar bench-campaign bench-campaign-scale \
-	bench-mitigate bench-ingest fuzz fuzz-smoke serve clean
+	bench-mitigate bench-ingest perfbench fuzz fuzz-smoke serve clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -137,6 +137,12 @@ bench-qa:
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_qa.json \
 		--baseline benchmarks/BENCH_qa.json
 
+# The repository benchmark declared in BENCHMARK.json: every workload
+# (study, campaign, serve with uploads), its end-to-end metrics and a
+# correctness verdict.  Add `--trace 1` for the per-layer split.
+perfbench:
+	python3 perfbench/run.py --workload all
+
 # Differential fuzzing with fault injection.  Every seed collects one
 # randomized world and requires batch == stream == serve byte-for-byte,
 # under injected crashes, torn journal tails, and transport faults.
@@ -170,6 +176,6 @@ bench-check: bench bench-scaling bench-columnar bench-campaign \
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_pipeline.json
 
 clean:
-	rm -rf $(BENCH_DIR)
+	rm -rf $(BENCH_DIR) .perfbench
 	rm -f repro-fail-*.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

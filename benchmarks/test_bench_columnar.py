@@ -2,8 +2,9 @@
 
 One large synthetic study (hundreds of cells, hundreds of thousands of
 leak events) is pushed through the complete Table/Figure/reach/drift
-suite twice — once over the row-wise object graph, once through
-``repro.analysis.columnar`` — and three things are measured:
+suite twice — once over the row-wise object graph by the reference in
+``repro.qa.reference``, once through the product's columnar engine —
+and three things are measured:
 
 - the row-wise reference suite (the bar to beat);
 - the columnar suite, *including* the encode + kernel + merge cost;
@@ -18,27 +19,26 @@ without hundreds of megabytes of object allocation.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import figures, longitudinal, reach, tables
 from repro.analysis.columnar import merge_aggregates, shard_aggregates, study_aggregate
-from repro.analysis.figures import ALL_FIGURES, render_series
-from repro.analysis.longitudinal import render_drift, summarize_drift
-from repro.analysis.reach import render_reach
+from repro.analysis.figures import render_series
+from repro.analysis.longitudinal import render_drift
 from repro.analysis.tables import (
     CATEGORY_ORDER,
     render_table1,
     render_table2,
     render_table3,
-    table1,
-    table2,
-    table3,
 )
 from repro.core.leaks import THIRD_PARTY, LeakRecord
 from repro.core.pipeline import ServiceResult, SessionAnalysis, StudyResult
 from repro.experiment.dataset import APP, WEB
 from repro.pii.detector import PiiObservation
 from repro.pii.types import PiiType
+from repro.qa import reference as qa_reference
 from repro.services.service import ServiceSpec
 from repro.trackerdb.categorize import THIRD_PARTY_AA, FlowCategory
 
@@ -112,21 +112,37 @@ def build_synthetic_study(seed: int = 7) -> StudyResult:
     return StudyResult(services=services)
 
 
-def run_suite(study) -> str:
+#: The product's consumers, laid out like :mod:`repro.qa.reference`.
+PRODUCT = SimpleNamespace(
+    table1=tables.table1,
+    table2=tables.table2,
+    table3=tables.table3,
+    ALL_FIGURES=figures.ALL_FIGURES,
+    render_reach=reach.render_reach,
+    summarize_drift=longitudinal.summarize_drift,
+)
+
+
+def run_suite(study, engine=PRODUCT) -> str:
     """Every aggregation consumer, rendered: tables 1-3, all six
-    figure panels, tracker reach, and self-drift.  ``study`` may be a
-    StudyResult (rows path) or a StudyAggregate (columnar path)."""
+    figure panels, tracker reach, and self-drift.  ``engine`` is the
+    product (``study`` a StudyAggregate) or :mod:`repro.qa.reference`
+    (``study`` a StudyResult)."""
     out = [
-        render_table1(table1(study)),
-        render_table2(table2(study)),
-        render_table3(table3(study)),
+        render_table1(engine.table1(study)),
+        render_table2(engine.table2(study)),
+        render_table3(engine.table3(study)),
     ]
-    for key in sorted(ALL_FIGURES):
-        for os_name, series in ALL_FIGURES[key](study).items():
+    for key in sorted(engine.ALL_FIGURES):
+        for os_name, series in engine.ALL_FIGURES[key](study).items():
             out.append(render_series(series))
-    out.append(render_reach(study))
-    out.append(render_drift(summarize_drift(study, study)))
+    out.append(engine.render_reach(study))
+    out.append(render_drift(engine.summarize_drift(study, study)))
     return "\n".join(out)
+
+
+def run_rows_suite(study) -> str:
+    return run_suite(study, qa_reference)
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +150,14 @@ def synthetic_study():
     study = build_synthetic_study()
     # Warm every module-level memo (EasyList verdicts, PSL) so both
     # engines are timed on equal footing.
-    reference = run_suite(study)
-    return study, reference
+    expected = run_rows_suite(study)
+    return study, expected
 
 
 def test_bench_rows_suite(benchmark, synthetic_study):
     """The row-wise reference: full suite over the object graph."""
     study, reference = synthetic_study
-    rendered = benchmark.pedantic(lambda: run_suite(study), rounds=3, iterations=1)
+    rendered = benchmark.pedantic(lambda: run_rows_suite(study), rounds=3, iterations=1)
     assert rendered == reference
 
 
@@ -150,7 +166,7 @@ def test_bench_columnar_suite(benchmark, synthetic_study):
     study, reference = synthetic_study
 
     def run():
-        return run_suite(study_aggregate(study, executor="serial"))
+        return run_suite(study_aggregate(study))
 
     rendered = benchmark.pedantic(run, rounds=3, iterations=1)
     assert rendered == reference
@@ -188,11 +204,11 @@ def test_columnar_speedup(synthetic_study, capsys):
 
     rows_times, columnar_times = [], []
     for _ in range(3):
-        seconds, rendered = timed(lambda: run_suite(study))
+        seconds, rendered = timed(lambda: run_rows_suite(study))
         assert rendered == reference
         rows_times.append(seconds)
         seconds, rendered = timed(
-            lambda: run_suite(study_aggregate(study, executor="serial"))
+            lambda: run_suite(study_aggregate(study))
         )
         assert rendered == reference
         columnar_times.append(seconds)

@@ -1,15 +1,12 @@
 """Columnar aggregation engine over the binary codec.
 
-The row-wise result family (tables, figures, reach, longitudinal)
-iterates Python ``SessionAnalysis``/``LeakRecord`` object graphs — and
-iterates them *repeatedly*: Table 1 re-derives ``leak_types`` per
-population group, every Figure 1 panel recomputes the per-service
-diffs, reach walks every leak again.  At campaign scale (millions of
-sessions) that attribute-chasing becomes the dominant cost even with
-process fan-out.
-
-This module is the fast twin, same fast-path-with-pinned-slow-reference
-discipline as the PR 1 detectors:
+Walking Python ``SessionAnalysis``/``LeakRecord`` object graphs once
+per consumer (Table 1 re-derives ``leak_types`` per population group,
+every Figure 1 panel recomputes the per-service diffs, reach walks
+every leak again) makes attribute-chasing the dominant cost at
+campaign scale.  This module is the product's only aggregation engine;
+that row-wise walk lives on only as the reference in
+:mod:`repro.qa.reference`:
 
 - :func:`encode_cells` walks the per-session objects exactly **once**,
   interning every string and grouping leak events into unique
@@ -33,10 +30,11 @@ discipline as the PR 1 detectors:
   yields the same aggregate).
 
 The consumers in :mod:`.tables`, :mod:`.figures`, :mod:`.reach`, and
-:mod:`.longitudinal` accept ``agg="columnar"`` (or a ready
-:class:`StudyAggregate`) and produce output **byte-identical** to the
-row-wise reference — pinned per fuzz seed by the :mod:`repro.qa`
-oracle and enforced at ≥5× (10× target) by ``make bench-columnar``.
+:mod:`.longitudinal` take a ready :class:`StudyAggregate` or a
+``StudyResult`` (reduced serially by :func:`ensure_aggregate`) and
+produce output **byte-identical** to the row-wise reference — pinned
+per fuzz seed by the :mod:`repro.qa` oracle and enforced at ≥5× (10×
+target) by ``make bench-columnar``.
 """
 
 from __future__ import annotations
@@ -52,25 +50,10 @@ from ..net.codec import CodecError
 from ..pii.types import PiiType
 from .stats import Moments
 
-AGG_ROWS = "rows"
-AGG_COLUMNAR = "columnar"
-AGG_AUTO = "auto"
-AGG_MODES = (AGG_AUTO, AGG_COLUMNAR, AGG_ROWS)
-
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
 
 _PII_BY_VALUE = {pii_type.value: pii_type for pii_type in PiiType}
-
-
-def resolve_agg(mode: str) -> str:
-    """Normalize an ``--agg`` mode; ``auto`` picks the columnar engine
-    (it is byte-identical to rows and strictly faster)."""
-    if mode == AGG_AUTO:
-        return AGG_COLUMNAR
-    if mode in (AGG_ROWS, AGG_COLUMNAR):
-        return mode
-    raise ValueError(f"unknown aggregation mode {mode!r} (choose one of {AGG_MODES})")
 
 
 # ---------------------------------------------------------------------------
@@ -674,43 +657,27 @@ def shard_aggregates(study, shards: int = 1, executor=None) -> list:
     return engine.map_aggregate(shard_blobs(study, shards))
 
 
-def study_aggregate(
-    study,
-    executor=None,
-    shards: Optional[int] = None,
-) -> StudyAggregate:
-    """The columnar front door: encode, fan out kernels, merge.
+def study_aggregate(study) -> StudyAggregate:
+    """The columnar front door: encode, run the kernel, merge — serially,
+    in one shard.
 
-    ``executor`` is a :mod:`repro.par` backend (instance, name, or
-    ``None`` for serial); ``shards`` defaults to the executor's worker
-    count.  The merge folds partials in shard order — and because every
-    reduction is associative and order-independent, any other merge
-    tree yields the same aggregate (property-pinned).
+    :func:`shard_aggregates` and :func:`merge_aggregates` split the
+    same work across shards and :mod:`repro.par` backends; because every
+    reduction is associative and order-independent, any shard count and
+    merge tree yields the same aggregate (property-pinned).
     """
-    from ..par import resolve_executor
-
-    engine = resolve_executor(executor)
-    if shards is None:
-        shards = engine.workers
-    return merge_aggregates(shard_aggregates(study, shards=shards, executor=engine))
+    return merge_aggregates(shard_aggregates(study))
 
 
-def ensure_aggregate(study, executor=None) -> StudyAggregate:
-    """Pass a ready aggregate through; reduce a StudyResult otherwise."""
+def ensure_aggregate(study) -> StudyAggregate:
+    """Pass a ready aggregate through; reduce a StudyResult serially."""
     if isinstance(study, StudyAggregate):
         return study
-    return study_aggregate(study, executor=executor)
-
-
-def wants_columnar(study, agg: str) -> bool:
-    """Shared dispatch for the consumer entry points: a ready
-    :class:`StudyAggregate` always takes the columnar path; otherwise
-    the resolved ``agg`` mode decides."""
-    return isinstance(study, StudyAggregate) or resolve_agg(agg) == AGG_COLUMNAR
+    return study_aggregate(study)
 
 
 def aggregate_diffs(agg: StudyAggregate, os_name: Optional[str] = None) -> list:
-    """Columnar twin of :func:`repro.core.compare.study_diffs`.
+    """Aggregate form of :func:`repro.core.compare.study_diffs`.
 
     Same iteration order (service catalog order, then the spec's OS
     order) and the same arithmetic — including computing megabytes as

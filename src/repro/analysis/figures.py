@@ -13,28 +13,12 @@ per-service values and the empirical CDF/PDF points exactly as plotted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.compare import study_diffs
-from ..core.pipeline import StudyResult
 from . import columnar
 from .stats import cdf_at, cdf_points, pdf_histogram
 
 OSES = ("android", "ios")
-
-
-def _diffs(study, os_name, agg, executor):
-    """Per-service diffs via the requested aggregation path.
-
-    Both paths yield identical :class:`~repro.core.compare.CellDiff`
-    lists (same order, same arithmetic), so every figure is
-    byte-identical under ``rows`` and ``columnar``.
-    """
-    if columnar.wants_columnar(study, agg):
-        return columnar.aggregate_diffs(
-            columnar.ensure_aggregate(study, executor=executor), os_name
-        )
-    return study_diffs(study, os_name)
 
 
 @dataclass
@@ -58,79 +42,82 @@ class FigureSeries:
         return len(self.values)
 
 
-def _cdf_figure(study, figure: str, extractor, agg: str = "rows", executor=None) -> dict:
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
+def _jaccard(diff):
+    if diff.app_leak_types or diff.web_leak_types:
+        return diff.jaccard_identifiers
+    return None
+
+
+#: Panel id -> (kind, per-diff value; ``None`` leaves the service out).
+_PANELS = {
+    "1a": ("cdf", lambda d: d.aa_domains),
+    "1b": ("cdf", lambda d: d.aa_flows),
+    "1c": ("cdf", lambda d: d.aa_megabytes),
+    "1d": ("cdf", lambda d: d.leak_domains),
+    "1e": ("pdf", lambda d: d.leak_identifiers),
+    "1f": ("cdf", _jaccard),
+}
+
+
+def _panel_from_diffs(figure: str, diffs_by_os: dict) -> dict:
+    """One panel's series per OS from per-OS
+    :class:`~repro.core.compare.CellDiff` lists (shared with the
+    row-wise reference in :mod:`repro.qa.reference`)."""
+    kind, extract = _PANELS[figure]
+    points = cdf_points if kind == "cdf" else pdf_histogram
     out = {}
     for os_name in OSES:
-        values = [extractor(d) for d in _diffs(study, os_name, agg, executor)]
+        values = [extract(d) for d in diffs_by_os[os_name]]
+        values = [v for v in values if v is not None]
         out[os_name] = FigureSeries(
             figure=figure,
             os_name=os_name,
             values=values,
-            points=cdf_points(values),
-            kind="cdf",
+            points=points(values),
+            kind=kind,
         )
     return out
 
 
-def fig1a(study, agg: str = "rows", executor=None) -> dict:
+def _panel(figure: str, study) -> dict:
+    agg = columnar.ensure_aggregate(study)
+    return _panel_from_diffs(
+        figure, {os_name: columnar.aggregate_diffs(agg, os_name) for os_name in OSES}
+    )
+
+
+def fig1a(study) -> dict:
     """(App − Web) A&A domains contacted, per OS."""
-    return _cdf_figure(study, "1a", lambda d: d.aa_domains, agg=agg, executor=executor)
+    return _panel("1a", study)
 
 
-def fig1b(study, agg: str = "rows", executor=None) -> dict:
+def fig1b(study) -> dict:
     """(App − Web) flows to A&A domains, per OS."""
-    return _cdf_figure(study, "1b", lambda d: d.aa_flows, agg=agg, executor=executor)
+    return _panel("1b", study)
 
 
-def fig1c(study, agg: str = "rows", executor=None) -> dict:
+def fig1c(study) -> dict:
     """(App − Web) MB of traffic to A&A domains, per OS."""
-    return _cdf_figure(study, "1c", lambda d: d.aa_megabytes, agg=agg, executor=executor)
+    return _panel("1c", study)
 
 
-def fig1d(study, agg: str = "rows", executor=None) -> dict:
+def fig1d(study) -> dict:
     """(App − Web) count of domains receiving PII, per OS."""
-    return _cdf_figure(study, "1d", lambda d: d.leak_domains, agg=agg, executor=executor)
+    return _panel("1d", study)
 
 
-def fig1e(study, agg: str = "rows", executor=None) -> dict:
+def fig1e(study) -> dict:
     """PDF of (App − Web) distinct leaked identifier counts, per OS."""
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
-    out = {}
-    for os_name in OSES:
-        values = [d.leak_identifiers for d in _diffs(study, os_name, agg, executor)]
-        out[os_name] = FigureSeries(
-            figure="1e",
-            os_name=os_name,
-            values=values,
-            points=pdf_histogram(values),
-            kind="pdf",
-        )
-    return out
+    return _panel("1e", study)
 
 
-def fig1f(study, agg: str = "rows", executor=None) -> dict:
+def fig1f(study) -> dict:
     """CDF of the Jaccard index of leaked identifier sets, per OS.
 
     Services with no leaks on either medium (Jaccard of two empty sets)
     are excluded, matching a plot of observed leak overlap.
     """
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
-    out = {}
-    for os_name in OSES:
-        values = [
-            d.jaccard_identifiers
-            for d in _diffs(study, os_name, agg, executor)
-            if d.app_leak_types or d.web_leak_types
-        ]
-        out[os_name] = FigureSeries(
-            figure="1f",
-            os_name=os_name,
-            values=values,
-            points=cdf_points(values),
-            kind="cdf",
-        )
-    return out
+    return _panel("1f", study)
 
 
 ALL_FIGURES = {

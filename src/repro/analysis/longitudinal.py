@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.pipeline import StudyResult
 from ..experiment.dataset import APP, WEB
 from . import columnar
 
@@ -44,21 +43,8 @@ class ServiceDrift:
         return bool(self.types_removed) and not self.types_added
 
 
-def _medium_metrics(result, medium):
-    types: set = set()
-    aa_domains: set = set()
-    events = 0
-    for (os_name, med), analysis in result.sessions.items():
-        if med != medium:
-            continue
-        types |= analysis.leak_types
-        aa_domains |= analysis.aa_domains
-        events += len(analysis.leaks)
-    return types, aa_domains, events
-
-
-def _medium_metrics_columnar(cells, medium):
-    """Columnar twin of :func:`_medium_metrics` over CellAggregates —
+def _medium_metrics(cells, medium):
+    """Leaked types, A&A domains and leak events of one medium's cells —
     unions and counts only, so shard merges cannot change it."""
     types: set = set()
     aa_domains: set = set()
@@ -72,40 +58,29 @@ def _medium_metrics_columnar(cells, medium):
     return types, aa_domains, events
 
 
-def diff_studies(before, after, agg: str = "rows", executor=None) -> list:
+def _drift(service, medium, old, new) -> ServiceDrift:
+    """Shared with the row-wise reference: ``old``/``new`` are
+    ``(types, aa_domains, events)`` triples of one service and medium."""
+    old_types, old_domains, old_events = old
+    new_types, new_domains, new_events = new
+    return ServiceDrift(
+        service=service,
+        medium=medium,
+        types_added=frozenset(new_types - old_types),
+        types_removed=frozenset(old_types - new_types),
+        aa_domains_delta=len(new_domains) - len(old_domains),
+        leak_events_delta=new_events - old_events,
+    )
+
+
+def diff_studies(before, after) -> list:
     """Per-service, per-medium drift between two snapshots.
 
     Services present in only one study are skipped — the comparison is
     about behavioural change, not catalog churn.
     """
-    if columnar.wants_columnar(before, agg) or columnar.wants_columnar(after, agg):
-        return _diff_studies_columnar(
-            columnar.ensure_aggregate(before, executor=executor),
-            columnar.ensure_aggregate(after, executor=executor),
-        )
-    before_by_slug = {r.spec.slug: r for r in before.services}
-    drifts = []
-    for result in after.services:
-        earlier = before_by_slug.get(result.spec.slug)
-        if earlier is None:
-            continue
-        for medium in (APP, WEB):
-            old_types, old_domains, old_events = _medium_metrics(earlier, medium)
-            new_types, new_domains, new_events = _medium_metrics(result, medium)
-            drifts.append(
-                ServiceDrift(
-                    service=result.spec.slug,
-                    medium=medium,
-                    types_added=frozenset(new_types - old_types),
-                    types_removed=frozenset(old_types - new_types),
-                    aa_domains_delta=len(new_domains) - len(old_domains),
-                    leak_events_delta=new_events - old_events,
-                )
-            )
-    return drifts
-
-
-def _diff_studies_columnar(before, after) -> list:
+    before = columnar.ensure_aggregate(before)
+    after = columnar.ensure_aggregate(after)
     before_cells = before.cells_by_service()
     after_cells = after.cells_by_service()
     drifts = []
@@ -115,16 +90,12 @@ def _diff_studies_columnar(before, after) -> list:
         olds = before_cells.get(meta.slug, ())
         news = after_cells.get(meta.slug, ())
         for medium in (APP, WEB):
-            old_types, old_domains, old_events = _medium_metrics_columnar(olds, medium)
-            new_types, new_domains, new_events = _medium_metrics_columnar(news, medium)
             drifts.append(
-                ServiceDrift(
-                    service=meta.slug,
-                    medium=medium,
-                    types_added=frozenset(new_types - old_types),
-                    types_removed=frozenset(old_types - new_types),
-                    aa_domains_delta=len(new_domains) - len(old_domains),
-                    leak_events_delta=new_events - old_events,
+                _drift(
+                    meta.slug,
+                    medium,
+                    _medium_metrics(olds, medium),
+                    _medium_metrics(news, medium),
                 )
             )
     return drifts
@@ -141,8 +112,12 @@ class DriftSummary:
     drifts: list = field(default_factory=list)
 
 
-def summarize_drift(before, after, agg: str = "rows", executor=None) -> DriftSummary:
-    drifts = diff_studies(before, after, agg=agg, executor=executor)
+def summarize_drift(before, after) -> DriftSummary:
+    return _drift_summary(diff_studies(before, after))
+
+
+def _drift_summary(drifts: list) -> DriftSummary:
+    """:func:`summarize_drift` over ready :func:`diff_studies` output."""
     by_service: dict = {}
     for drift in drifts:
         by_service.setdefault(drift.service, []).append(drift)

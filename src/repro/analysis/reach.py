@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..core.pipeline import StudyResult
 from ..experiment.dataset import APP, WEB
 from ..pii.types import PiiType
 from . import columnar
@@ -71,47 +70,19 @@ class TrackerReach:
         return bool(self.join_keys)
 
 
-def tracker_reach(study, agg: str = "rows", executor=None) -> dict:
-    """Compute :class:`TrackerReach` for every A&A domain in a study."""
-    if columnar.wants_columnar(study, agg):
-        return _tracker_reach_columnar(
-            columnar.ensure_aggregate(study, executor=executor)
-        )
-    reaches: dict = {}
-    for result in study.services:
-        slug = result.spec.slug
-        for (os_name, medium), analysis in result.sessions.items():
-            # Sorted, not raw set iteration: entry creation order is
-            # dict insertion order, which summarize_reach's max() and
-            # render_reach's stable sort break ties by — raw iteration
-            # would make those ties vary with PYTHONHASHSEED (same fix
-            # as Table 2's domain loop).
-            for domain in sorted(analysis.aa_domains):
-                entry = reaches.get(domain)
-                if entry is None:
-                    entry = reaches[domain] = TrackerReach(domain=domain)
-                (entry.services_app if medium == APP else entry.services_web).add(slug)
-            for record in analysis.leaks:
-                entry = reaches.get(record.domain)
-                if entry is None:
-                    continue  # non-A&A recipient (identity providers)
-                if medium == APP:
-                    entry.types_app.add(record.pii_type)
-                else:
-                    entry.types_web.add(record.pii_type)
-    return reaches
-
-
-def _tracker_reach_columnar(agg) -> dict:
-    """Columnar twin of :func:`tracker_reach`.
+def tracker_reach(study) -> dict:
+    """Compute :class:`TrackerReach` for every A&A domain in a study.
 
     Replays cells in the row-wise iteration order (the aggregate's
     per-cell ``order``): a leak recipient only accrues identifier types
     once the domain has already appeared as an A&A contact in the same
-    or an earlier cell — the reference path's entry-creation rule.
+    or an earlier cell.  Entry creation order is dict insertion order,
+    which :func:`summarize_reach`'s ``max()`` and :func:`render_reach`'s
+    stable sort break ties by — so domains are visited sorted, never in
+    string-hash order.
     """
     reaches: dict = {}
-    for cell in agg.ordered_cells():
+    for cell in columnar.ensure_aggregate(study).ordered_cells():
         slug = cell.service
         medium = cell.medium
         for domain in sorted(cell.aa_domains):
@@ -139,9 +110,13 @@ class ReachSummary:
     max_reach: int
 
 
-def summarize_reach(study, agg: str = "rows", executor=None) -> ReachSummary:
+def summarize_reach(study) -> ReachSummary:
     """Aggregate the per-tracker picture into the §4.2 headline claims."""
-    reaches = tracker_reach(study, agg=agg, executor=executor)
+    return _reach_summary(tracker_reach(study))
+
+
+def _reach_summary(reaches: dict) -> ReachSummary:
+    """:func:`summarize_reach` over ready :func:`tracker_reach` entries."""
     if not reaches:
         raise ValueError("study produced no A&A exposure to summarize")
     cross = [r for r in reaches.values() if r.services_both]
@@ -160,18 +135,20 @@ def summarize_reach(study, agg: str = "rows", executor=None) -> ReachSummary:
     )
 
 
-def render_reach(study, top: int = 15, agg: str = "rows", executor=None) -> str:
+def render_reach(study, top: int = 15) -> str:
     """Text table of the highest-reach trackers."""
-    reaches = sorted(
-        tracker_reach(study, agg=agg, executor=executor).values(),
-        key=lambda r: -r.reach,
-    )[:top]
+    return _reach_table(tracker_reach(study), top)
+
+
+def _reach_table(reaches: dict, top: int = 15) -> str:
+    """:func:`render_reach` over ready :func:`tracker_reach` entries."""
+    ranked = sorted(reaches.values(), key=lambda r: -r.reach)[:top]
     header = (
         f"{'A&A Domain':24s} {'reach':>5s} {'app':>4s} {'web':>4s} {'both':>4s} "
         f"{'app-only types':16s} {'join keys'}"
     )
     lines = [header, "-" * len(header)]
-    for entry in reaches:
+    for entry in ranked:
         app_only = ",".join(sorted(t.code for t in entry.app_exclusive_types)) or "-"
         keys = ",".join(sorted(t.code for t in entry.join_keys)) or "-"
         lines.append(

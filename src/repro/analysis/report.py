@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from ..core.pipeline import StudyResult
 from ..experiment.dataset import APP, WEB
 from ..pii.types import PiiType
+from .columnar import ensure_aggregate
 from .figures import fig1a, fig1b, fig1c, fig1d, fig1e, fig1f
 from .stats import fraction
 from .tables import table1, table2, table3
@@ -262,6 +263,7 @@ def _figure_lines(study: StudyResult) -> list:
 
 def build_comparison(study: StudyResult) -> list:
     """Every paper-vs-measured line, grouped by section."""
+    study = ensure_aggregate(study)
     lines = []
     lines.extend(_table1_lines(study))
     lines.extend(_table2_lines(study))
@@ -296,7 +298,7 @@ def render_markdown(study: StudyResult, seed: int = 2016, duration: float = 240.
         "population instead (personas drawn from a `--population-spec`",
         "JSON of distributions) and reports the same tables per cohort",
         "with Wilson and bootstrap confidence intervals; `--shards`,",
-        "`--executor`, `--workers`, and `--agg` control execution without",
+        "`--executor`, and `--workers` control execution without",
         "changing a single output byte.",
         "",
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis.columnar import study_aggregate
 from .analysis.figures import ALL_FIGURES, render_series
 from .analysis.tables import (
     render_table1,
@@ -55,30 +56,6 @@ def _build_study(args):
     )
 
 
-def _add_agg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--agg",
-        choices=["auto", "columnar", "rows"],
-        default="auto",
-        help="aggregation engine for tables/figures/reach: 'columnar' "
-        "reduces struct-packed batches from the binary codec (the fast "
-        "path; 'auto' picks it), 'rows' walks the per-session object "
-        "graph (the reference). Output is byte-identical either way.",
-    )
-
-
-def _study_view(study, args):
-    """Apply ``--agg``: the study itself (rows) or its columnar
-    aggregate, computed once and shared by every consumer below."""
-    from .analysis import columnar
-
-    if columnar.resolve_agg(getattr(args, "agg", "rows")) == "rows":
-        return study
-    return columnar.study_aggregate(
-        study, executor=getattr(args, "executor", None)
-    )
-
-
 def _add_executor(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
@@ -111,7 +88,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "identical for any value)",
     )
     _add_executor(parser)
-    _add_agg(parser)
     parser.add_argument(
         "--cache-dir",
         help="persistent incremental-analysis cache directory: campaign, "
@@ -121,7 +97,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
-    view = _study_view(_build_study(args), args)
+    view = study_aggregate(_build_study(args))
     print(render_table1(table1(view)))
     print()
     print(render_table2(table2(view)))
@@ -131,21 +107,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    view = _study_view(_build_study(args), args)
+    study = _build_study(args)
     renderers = {"1": (table1, render_table1), "2": (table2, render_table2), "3": (table3, render_table3)}
     if args.table not in renderers:
         raise SystemExit(f"unknown table {args.table!r} (choose 1, 2, or 3)")
     generate, render = renderers[args.table]
-    print(render(generate(view)))
+    print(render(generate(study)))
     return 0
 
 
 def cmd_figure(args) -> int:
-    view = _study_view(_build_study(args), args)
+    study = _build_study(args)
     generator = ALL_FIGURES.get(args.figure)
     if generator is None:
         raise SystemExit(f"unknown figure {args.figure!r} (choose {sorted(ALL_FIGURES)})")
-    for os_name, series in generator(view).items():
+    for os_name, series in generator(study).items():
         print(render_series(series))
         print()
     return 0
@@ -210,8 +186,8 @@ def cmd_recommend(args) -> int:
 def cmd_report(args) -> int:
     from .analysis.report import render_markdown
 
-    view = _study_view(_build_study(args), args)
-    print(render_markdown(view, seed=args.seed, duration=args.duration))
+    study = _build_study(args)
+    print(render_markdown(study, seed=args.seed, duration=args.duration))
     return 0
 
 
@@ -251,7 +227,7 @@ def cmd_analyze(args) -> int:
         executor=getattr(args, "executor", None),
         cache=cache,
     )
-    view = _study_view(study, args)
+    view = study_aggregate(study)
     print(render_table1(table1(view)))
     print()
     print(render_table3(table3(view)))
@@ -295,7 +271,7 @@ def cmd_stream(args) -> int:
             executor=args.executor,
         )
         stats = throughput = None
-    view = _study_view(study, args)
+    view = study_aggregate(study)
     print(render_table1(table1(view)))
     print()
     print(render_table3(table3(view)))
@@ -549,7 +525,7 @@ def cmd_mitigate(args) -> int:
         # Exactly what ``repro analyze`` prints for the same dataset —
         # CI diffs the two byte-for-byte to pin "mitigation off changes
         # nothing".
-        view = _study_view(outcome.baseline, args)
+        view = study_aggregate(outcome.baseline)
         text = (
             render_table1(table1(view))
             + "\n\n"
@@ -565,7 +541,7 @@ def cmd_mitigate(args) -> int:
 def cmd_reach(args) -> int:
     from .analysis.reach import render_reach, summarize_reach
 
-    view = _study_view(_build_study(args), args)
+    view = study_aggregate(_build_study(args))
     print(render_reach(view))
     summary = summarize_reach(view)
     print(
@@ -700,7 +676,6 @@ def cmd_campaign(args) -> int:
             cohorts=args.cohorts,
             shards=args.shards,
             executor=engine,
-            agg=args.agg,
             log=log,
             reduce=args.reduce,
             checkpoint_dir=args.checkpoint_dir,
@@ -934,7 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis workers (results are identical for any value)",
     )
     _add_executor(analyze_parser)
-    _add_agg(analyze_parser)
     analyze_parser.add_argument(
         "--cache-dir",
         help="persistent per-session analysis cache (content-addressed; "
@@ -1148,7 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "folded — simulates a mid-campaign kill for resume testing",
     )
     _add_executor(campaign_parser)
-    _add_agg(campaign_parser)
     campaign_parser.set_defaults(func=cmd_campaign)
     return parser
 

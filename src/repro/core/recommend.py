@@ -183,8 +183,12 @@ class Recommendation:
 def score_session(analysis: SessionAnalysis, preferences: PrivacyPreferences) -> float:
     """Privacy-invasiveness score for one cell; higher is worse."""
     score = 0.0
-    for pii_type in analysis.leak_types:
-        score += preferences.weight(pii_type)
+    leaked = analysis.leak_types
+    # Summed in PiiType declaration order: float addition depends on
+    # order, and iterating the set would follow PYTHONHASHSEED.
+    for pii_type in PiiType:
+        if pii_type in leaked:
+            score += preferences.weight(pii_type)
     for record in analysis.leaks:
         if record.plaintext:
             score += preferences.plaintext_aversion * preferences.weight(record.pii_type)

@@ -11,10 +11,10 @@ Searching is the pipeline's hot path, so the default implementation is a
 single-pass multi-pattern scan over an Aho–Corasick automaton built once
 per ground-truth set (see :mod:`repro.pii.automaton`), with a per-matcher
 memo of scanned texts — captured traffic repeats header and cookie
-values thousands of times.  ``slow=True`` keeps the original per-form
-scan as the reference implementation; the equivalence tests assert both
-modes return identical matches (§3.2 fidelity: same matches, faster
-search).
+values thousands of times.  The original per-form scan survives only
+as the reference in :mod:`repro.qa.reference`; the equivalence tests
+and the QA oracle assert both return identical matches (§3.2 fidelity:
+same matches, faster search).
 
 Case handling is explicit: every form is searched case-insensitively
 (hosts uppercase MACs, lowercase e-mails, etc.), *except* that the pure
@@ -65,16 +65,8 @@ class PiiMatch:
 class GroundTruthMatcher:
     """Searches requests for known PII values under common encodings."""
 
-    def __init__(
-        self, ground_truth: dict, include_hashes: bool = True, slow: bool = False
-    ) -> None:
-        """``ground_truth`` maps :class:`PiiType` to lists of raw values.
-
-        ``slow=True`` selects the retained per-form linear scan — the
-        reference implementation the automaton fast path is verified
-        against.
-        """
-        self._slow = slow
+    def __init__(self, ground_truth: dict, include_hashes: bool = True) -> None:
+        """``ground_truth`` maps :class:`PiiType` to lists of raw values."""
         self._forms: dict = {}  # encoded form -> (PiiType, value, encoding)
         self._digit_forms: list = []  # (compiled regex, PiiType, value, encoding)
         self._coords: list = []  # (float value, raw string) for LOCATION
@@ -101,8 +93,8 @@ class GroundTruthMatcher:
                             has_lower.add((pii_type, value))
 
         # Scan plan: (form, lowered form, type, value, encoding, mode),
-        # in registration order so fast and slow paths report matches
-        # identically ordered.
+        # in registration order so this scan and the reference linear
+        # scan report matches identically ordered.
         self._plan: list = []
         for form, (pii_type, value, encoding) in self._forms.items():
             if encoding == encodings.UPPER or (
@@ -123,17 +115,15 @@ class GroundTruthMatcher:
             # at least MIN_SEARCHABLE_LENGTH chars, coordinates at least
             # four ("0.00").
             return []
-        if self._slow:
-            return self._scan_linear(text)
         cached = self._memo.get(text)
         if cached is None:
             if len(self._memo) >= _MEMO_MAX:
                 self._memo.clear()
-            cached = self._memo[text] = tuple(self._scan_automaton(text))
+            cached = self._memo[text] = tuple(self._scan(text))
         return list(cached)
 
-    def _scan_automaton(self, text: str) -> list:
-        """Fast path: one automaton pass, then confirm rare candidates."""
+    def _scan(self, text: str) -> list:
+        """One automaton pass, then confirm rare candidates."""
         found: dict = {}
         lowered = text.lower()
         candidates = self._automaton.find_all(lowered)
@@ -149,26 +139,9 @@ class GroundTruthMatcher:
         self._scan_extras(text, found)
         return list(found.values())
 
-    def _scan_linear(self, text: str) -> list:
-        """Reference path: the original per-form scan (``slow=True``)."""
-        found: dict = {}
-        lowered = text.lower()
-        for form, low, pii_type, value, encoding, mode in self._plan:
-            # Case-insensitive search for every form, except the pure
-            # case-variant encodings which must match exactly.
-            if mode == _CS:
-                hit = form in text
-            else:
-                hit = low in lowered
-            if hit:
-                found[(pii_type, value, encoding)] = PiiMatch(
-                    pii_type=pii_type, value=value, encoding=encoding, source="text"
-                )
-        self._scan_extras(text, found)
-        return list(found.values())
-
     def _scan_extras(self, text: str, found: dict) -> None:
-        """Digit-boundary and GPS-tolerance cases, shared by both paths."""
+        """Digit-boundary and GPS-tolerance cases, shared with the
+        reference scan."""
         for form, pattern, pii_type, value, encoding in self._digit_forms:
             # C-speed substring prescreen; the regex only confirms the
             # digit boundaries once the literal is known to occur.
@@ -208,13 +181,12 @@ class GroundTruthMatcher:
         and heartbeat requests heavily, and the matches are pure
         functions of (url, headers, body).
         """
-        if not self._slow:
-            # Captured headers are already (name, value) tuples, so one
-            # outer tuple() makes the list hashable.
-            memo_key = (request.url, tuple(request.headers), request.body)
-            cached = self._request_memo.get(memo_key)
-            if cached is not None:
-                return list(cached)
+        # Captured headers are already (name, value) tuples, so one
+        # outer tuple() makes the list hashable.
+        memo_key = (request.url, tuple(request.headers), request.body)
+        cached = self._request_memo.get(memo_key)
+        if cached is not None:
+            return list(cached)
         by_identity = {}
         for match in self.match_text(searchable_text(request)):
             by_identity[(match.pii_type, match.value, match.encoding)] = match
@@ -229,10 +201,9 @@ class GroundTruthMatcher:
                     key=field.key,
                 )
         matches = list(by_identity.values())
-        if not self._slow:
-            if len(self._request_memo) >= _MEMO_MAX:
-                self._request_memo.clear()
-            self._request_memo[memo_key] = tuple(matches)
+        if len(self._request_memo) >= _MEMO_MAX:
+            self._request_memo.clear()
+        self._request_memo[memo_key] = tuple(matches)
         return matches
 
     def types_in_request(self, request: CapturedRequest) -> set:

@@ -42,11 +42,16 @@ class Field(NamedTuple):
 
 
 _INTERESTING_MEMO: dict = {}
+_INTERESTING_MEMO_MAX = 4096
 
 
 def _header_is_interesting(name: str) -> bool:
     verdict = _INTERESTING_MEMO.get(name)
     if verdict is None:
+        # Keyed by header names from uploaded traces: bounded like every
+        # sibling cache, or a long-lived ingest worker grows without end.
+        if len(_INTERESTING_MEMO) >= _INTERESTING_MEMO_MAX:
+            _INTERESTING_MEMO.clear()
         lowered = name.lower()
         verdict = _INTERESTING_MEMO[name] = any(
             lowered == probe or (probe.endswith("-") and lowered.startswith(probe))

@@ -2,8 +2,9 @@
 
 The paper's headline numbers are produced by three execution paths
 (batch :func:`~repro.core.pipeline.analyze_dataset`, the sharded
-streaming pipeline, and the serving read path) plus fast/slow twins of
-the PII matcher and the EasyList engine.  This package generates
+streaming pipeline, and the serving read path), and the PII matcher,
+the EasyList engine and the aggregation engine each have a plain
+reference twin in :mod:`repro.qa.reference`.  This package generates
 randomized worlds from a single seed (:mod:`repro.qa.scenarios`), runs
 every path over them and asserts byte-level equality
 (:mod:`repro.qa.oracle`), injects deterministic faults — kills, torn

@@ -13,10 +13,14 @@ Paths compared against the ``workers=1`` batch reference:
   pool by default, whose workers re-serialize every session through
   the binary codec and own a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
-- the fast Aho–Corasick matcher vs ``GroundTruthMatcher(slow=True)``
-  per decrypted transaction and per generated probe text;
-- the indexed EasyList engine vs ``FilterList.match_linear`` over the
-  scenario's URL probes (scenario filters and the bundled list);
+- the columnar aggregation engine and every consumer rendered from it
+  vs the row-wise walk in :mod:`repro.qa.reference`;
+- campaign folds, shard counts and merge orders vs a serial campaign;
+- the Aho–Corasick matcher vs the reference's linear scan
+  (:class:`~repro.qa.reference.LinearGroundTruthMatcher`) per decrypted
+  transaction and per generated probe text;
+- the indexed EasyList engine vs :func:`repro.qa.reference.match_linear`
+  over the scenario's URL probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;
 - the mitigation data plane: an installed all-allow policy is
   byte-inert, mitigated traffic analyzes identically in serial /
@@ -212,9 +216,10 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         check_study(f"stream[shards={shards}]", streamed, "stream")
 
     # -- columnar aggregation engine ----------------------------------------
-    # Two pins per seed: (a) sharded partial-aggregate merges equal the
-    # single-batch aggregate in any merge order; (b) every consumer's
-    # columnar rendering is byte-identical to the row-wise reference.
+    # Two pins per seed: (a) sharded partial-aggregate merges, in any
+    # merge order, equal the aggregate the reference folds object by
+    # object; (b) every consumer's columnar rendering is byte-identical
+    # to the reference's row-wise rendering.
     from ..analysis import columnar
     from ..analysis.figures import fig1e, render_series
     from ..analysis.longitudinal import render_drift, summarize_drift
@@ -227,6 +232,7 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         table2,
         table3,
     )
+    from . import reference as refimpl
 
     stats["columnar_checks"] = 0
 
@@ -243,9 +249,9 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
             want, got = _first_divergent_line(expected_text, actual_text)
             divergences.append(Divergence(component, "<render>", want, got))
 
-    whole = columnar.study_aggregate(reference, shards=1)
+    whole = columnar.study_aggregate(reference)
     partials = columnar.shard_aggregates(reference, shards=3)
-    agg_expected = whole.canonical_bytes()
+    agg_expected = refimpl.study_aggregate(reference).canonical_bytes()
     check_columnar_bytes(
         "columnar[merge shards=3]",
         agg_expected,
@@ -259,41 +265,41 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
 
     check_columnar_text(
         "columnar[table1]",
-        render_table1(table1(reference)),
+        render_table1(refimpl.table1(reference)),
         render_table1(table1(whole)),
     )
     check_columnar_text(
         "columnar[table2]",
-        render_table2(table2(reference)),
+        render_table2(refimpl.table2(reference)),
         render_table2(table2(whole)),
     )
     check_columnar_text(
         "columnar[table3]",
-        render_table3(table3(reference)),
+        render_table3(refimpl.table3(reference)),
         render_table3(table3(whole)),
     )
-    for os_name, series in fig1e(reference).items():
+    for os_name, series in refimpl.ALL_FIGURES["1e"](reference).items():
         check_columnar_text(
             f"columnar[fig1e:{os_name}]",
             render_series(series),
             render_series(fig1e(whole)[os_name]),
         )
     check_columnar_text(
-        "columnar[reach]", render_reach(reference), render_reach(whole)
+        "columnar[reach]", refimpl.render_reach(reference), render_reach(whole)
     )
     check_columnar_text(
         "columnar[drift]",
-        render_drift(summarize_drift(reference, reference)),
+        render_drift(refimpl.summarize_drift(reference, reference)),
         render_drift(summarize_drift(whole, whole)),
     )
 
     # -- campaign engine -----------------------------------------------------
     # A small population over the scenario's own specs, pinned four
     # ways: shard-count invariance (1 vs 3), merge-order invariance
-    # (forward vs reversed fold of the same partials), rows ≡ columnar
-    # folds, and serial ≡ process-pool execution — all byte-for-byte on
-    # the canonical campaign aggregate.
-    from ..campaign import CampaignContext, PopulationSpec, merge_campaigns, plan_shards, run_campaign
+    # (forward vs reversed fold of the same partials), the reference's
+    # row-wise fold ≡ the columnar fold, and serial ≡ process-pool
+    # execution — all byte-for-byte on the canonical campaign aggregate.
+    from ..campaign import PopulationSpec, merge_campaigns, plan_shards, run_campaign
 
     stats["campaign_checks"] = 0
     population = 6
@@ -317,12 +323,11 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         services=specs,
         executor="serial",
         shards=1,
-        agg="columnar",
     )
     campaign_expected = campaign_reference.canonical_bytes()
 
-    rows_context = CampaignContext(
-        pop_spec, specs, scenario.study_seed, dims=("os",), agg="rows"
+    rows_context = refimpl.RowsCampaignContext(
+        pop_spec, specs, scenario.study_seed, dims=("os",)
     )
     campaign_partials = [
         rows_context.run_shard(start, stop)
@@ -375,7 +380,6 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         executor="thread",
         workers=2,
         reduce="worker",
-        agg="columnar",
     )
     check_campaign_bytes(
         "campaign[worker-reduce,adaptive]",
@@ -504,10 +508,10 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
                     )
                 )
 
-    # -- fast vs slow PII matcher -------------------------------------------
+    # -- automaton vs linear PII matcher -------------------------------------
     for record in sorted(dataset, key=lambda r: r.key):
         fast = GroundTruthMatcher(record.ground_truth)
-        slow = GroundTruthMatcher(record.ground_truth, slow=True)
+        slow = refimpl.LinearGroundTruthMatcher(record.ground_truth)
         for flow in record.trace:
             if not flow.decrypted:
                 continue
@@ -529,7 +533,7 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
 
     truth = scenario_ground_truth(scenario.seed)
     fast_text = GroundTruthMatcher(truth)
-    slow_text = GroundTruthMatcher(truth, slow=True)
+    slow_text = refimpl.LinearGroundTruthMatcher(truth)
     for index, text in enumerate(scenario.texts):
         fast_sig = _match_signature(fast_text.match_text(text))
         slow_sig = _match_signature(mutate("matcher", slow_text.match_text(text)))
@@ -552,7 +556,9 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
     for list_name, filter_list in filter_lists:
         for url, page_host, resource_type in scenario.urls:
             indexed = filter_list.match(url, page_host, resource_type)
-            linear = mutate("filters", filter_list.match_linear(url, page_host, resource_type))
+            linear = mutate(
+                "filters", refimpl.match_linear(filter_list, url, page_host, resource_type)
+            )
             stats["filter_probes"] += 1
             indexed_raw = indexed.raw if indexed is not None else None
             linear_raw = linear.raw if linear is not None else None

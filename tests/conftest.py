@@ -38,9 +38,15 @@ def _hermetic_caches():
     cached value baked in, must not see another test's entries.
     """
     yield
+    reset_caches()
+
+
+def reset_caches() -> None:
+    """Empty every module-level memo under ``repro``.  A new cache must
+    be added here; ``tests/test_caches.py`` fails until it is."""
     from repro.core import pipeline
-    from repro.http import body, cookies
-    from repro.pii import encodings, matcher
+    from repro.http import body, cookies, url
+    from repro.pii import encodings, matcher, structure
     from repro.services import webtracker
     from repro.trackerdb import easylist, psl
 
@@ -48,6 +54,11 @@ def _hermetic_caches():
     pipeline._CATEGORIZER_CACHE.clear()
     body._DECODE_CACHE.clear()
     cookies._COOKIE_PARSE_CACHE.clear()
+    url._ENCODE_CACHE.clear()
+    url._ENCODE_QUERY_CACHE.clear()
+    url._QUERY_CACHE.clear()
+    url._PARSE_CACHE.clear()
+    structure._INTERESTING_MEMO.clear()
     webtracker._BLOB_CACHE.clear()
     encodings._variant_items.cache_clear()
     psl.same_party.cache_clear()

@@ -2,12 +2,13 @@
 
 The engine's contract is absolute: for any study, shard split, merge
 order, and executor backend, the columnar path renders output
-byte-for-byte equal to the row-wise reference — a fast wrong answer is
-not a result.  These tests pin that contract directly (exhaustive
-entry-point equality on ``mini_study``), as a property (arbitrary cell
-partitions under hypothesis), at the wire level (strict decode), and in
-the QA oracle (the pin runs per fuzz seed; a mutation canary proves the
-pin would catch a corrupted engine).
+byte-for-byte equal to the row-wise reference in
+:mod:`repro.qa.reference` — a fast wrong answer is not a result.  These
+tests pin that contract directly (exhaustive entry-point equality on
+``mini_study``), as a property (arbitrary cell partitions under
+hypothesis), at the wire level (strict decode), and in the QA oracle
+(the pin runs per fuzz seed; a mutation canary proves the pin would
+catch a corrupted engine).
 """
 
 import random
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import columnar
 from repro.analysis.columnar import (
-    AGG_MODES,
     StudyAggregate,
     aggregate_batch,
     aggregate_blob,
@@ -27,7 +27,6 @@ from repro.analysis.columnar import (
     merge_aggregates,
     read_aggregate,
     read_batch,
-    resolve_agg,
     shard_aggregates,
     shard_blobs,
     study_aggregate,
@@ -48,59 +47,56 @@ from repro.analysis.tables import (
 from repro.core.compare import study_diffs
 from repro.net.codec import KIND_ABATCH, KIND_RECORD, CodecError, frame
 from repro.par import resolve_executor
+from repro.qa import reference
 
 
 @pytest.fixture(scope="module")
 def mini_aggregate(mini_study):
-    return study_aggregate(mini_study, executor="serial")
-
-
-class TestResolveAgg:
-    def test_auto_is_columnar(self):
-        assert resolve_agg("auto") == "columnar"
-
-    def test_explicit_modes(self):
-        assert resolve_agg("rows") == "rows"
-        assert resolve_agg("columnar") == "columnar"
-        assert set(AGG_MODES) == {"auto", "columnar", "rows"}
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_agg("vectorized")
+    return study_aggregate(mini_study)
 
 
 class TestByteIdentity:
-    """Every consumer entry point: columnar == rows, byte for byte."""
+    """Every consumer entry point: columnar == reference rows, byte for byte."""
 
     def test_table1(self, mini_study, mini_aggregate):
         assert render_table1(table1(mini_aggregate)) == render_table1(
-            table1(mini_study)
+            reference.table1(mini_study)
         )
 
     def test_table2(self, mini_study, mini_aggregate):
         assert render_table2(table2(mini_aggregate)) == render_table2(
-            table2(mini_study)
+            reference.table2(mini_study)
         )
 
     def test_table3(self, mini_study, mini_aggregate):
         assert render_table3(table3(mini_aggregate)) == render_table3(
-            table3(mini_study)
+            reference.table3(mini_study)
         )
 
     @pytest.mark.parametrize("key", sorted(ALL_FIGURES))
     def test_figures(self, mini_study, mini_aggregate, key):
-        rows = ALL_FIGURES[key](mini_study)
+        rows = reference.ALL_FIGURES[key](mini_study)
         cols = ALL_FIGURES[key](mini_aggregate)
         assert sorted(rows) == sorted(cols)
         for os_name in rows:
             assert render_series(cols[os_name]) == render_series(rows[os_name])
             assert cols[os_name] == rows[os_name]
 
-    def test_agg_kwarg_dispatch(self, mini_study):
-        """``agg='columnar'`` on a plain StudyResult takes the fast path
-        and still matches; ``agg='rows'`` is the unchanged reference."""
-        assert render_table1(table1(mini_study, agg="columnar")) == render_table1(
-            table1(mini_study, agg="rows")
+    def test_study_result_is_aggregated(self, mini_study):
+        """A plain StudyResult is reduced through the columnar engine and
+        still matches the reference."""
+        assert render_table1(table1(mini_study)) == render_table1(
+            reference.table1(mini_study)
+        )
+        assert render_table2(table2(mini_study)) == render_table2(
+            reference.table2(mini_study)
+        )
+
+    def test_reference_aggregate(self, mini_study, mini_aggregate):
+        """The reference's object-by-object fold equals the codec +
+        kernel aggregate."""
+        assert reference.study_aggregate(mini_study).canonical_bytes() == (
+            mini_aggregate.canonical_bytes()
         )
 
     def test_diffs_bit_identical(self, mini_study, mini_aggregate):
@@ -109,27 +105,39 @@ class TestByteIdentity:
         assert cols == rows
 
     def test_reach(self, mini_study, mini_aggregate):
-        assert render_reach(mini_aggregate) == render_reach(mini_study)
-        assert tracker_reach(mini_aggregate) == tracker_reach(mini_study)
-        assert summarize_reach(mini_aggregate) == summarize_reach(mini_study)
+        assert render_reach(mini_aggregate) == reference.render_reach(mini_study)
+        assert tracker_reach(mini_aggregate) == reference.tracker_reach(mini_study)
+        assert summarize_reach(mini_aggregate) == reference.summarize_reach(
+            mini_study
+        )
 
     def test_drift(self, mini_study, mini_aggregate):
-        rows = render_drift(summarize_drift(mini_study, mini_study))
+        rows = render_drift(reference.summarize_drift(mini_study, mini_study))
         cols = render_drift(summarize_drift(mini_aggregate, mini_aggregate))
         assert cols == rows
-        assert diff_studies(mini_aggregate, mini_aggregate) == diff_studies(
-            mini_study, mini_study
+        assert diff_studies(mini_aggregate, mini_aggregate) == (
+            reference.diff_studies(mini_study, mini_study)
         )
 
     def test_mixed_operands_drift(self, mini_study, mini_aggregate):
         """Aggregate-vs-StudyResult operands promote and still match."""
-        rows = render_drift(summarize_drift(mini_study, mini_study))
+        rows = render_drift(reference.summarize_drift(mini_study, mini_study))
         assert render_drift(summarize_drift(mini_aggregate, mini_study)) == rows
         assert render_drift(summarize_drift(mini_study, mini_aggregate)) == rows
 
-    def test_report(self, mini_study, mini_aggregate):
-        assert build_comparison(mini_aggregate) == build_comparison(mini_study)
-        assert render_markdown(mini_aggregate) == render_markdown(mini_study)
+    def test_report(self, mini_study, mini_aggregate, monkeypatch):
+        """The report over the columnar engine equals the report built
+        from the reference's tables and figures."""
+        from repro.analysis import report
+
+        produced = render_markdown(mini_aggregate)
+        assert build_comparison(mini_study) == build_comparison(mini_aggregate)
+        for name in ("table1", "table2", "table3"):
+            monkeypatch.setattr(report, name, getattr(reference, name))
+        for key, panel in reference.ALL_FIGURES.items():
+            monkeypatch.setattr(report, f"fig{key}", panel)
+        monkeypatch.setattr(report, "ensure_aggregate", lambda study: study)
+        assert render_markdown(mini_study) == produced
 
 
 class TestMergeAlgebra:
@@ -138,7 +146,7 @@ class TestMergeAlgebra:
     def test_shard_counts_identical(self, mini_study, mini_aggregate):
         reference = mini_aggregate.canonical_bytes()
         for shards in (1, 2, 3, 5, 24, 1000):
-            agg = study_aggregate(mini_study, executor="serial", shards=shards)
+            agg = merge_aggregates(shard_aggregates(mini_study, shards=shards))
             assert agg.canonical_bytes() == reference, f"shards={shards}"
 
     def test_merge_reversed_and_shuffled(self, mini_study, mini_aggregate):
@@ -273,7 +281,9 @@ class TestExecutorBackends:
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_backend_equivalence(self, mini_study, mini_aggregate, backend):
         engine = resolve_executor(backend, workers=2)
-        agg = study_aggregate(mini_study, executor=engine, shards=3)
+        agg = merge_aggregates(
+            shard_aggregates(mini_study, shards=3, executor=engine)
+        )
         assert agg.canonical_bytes() == mini_aggregate.canonical_bytes()
 
     def test_empty_blob_list(self):
@@ -313,18 +323,30 @@ class TestOraclePin:
 
 
 class TestCli:
-    """--agg on the CLI: identical output for every engine."""
+    """The CLI prints what the reference renders; ``--agg`` is gone."""
 
     ARGS = ["--services", "weather", "--duration", "30", "--no-recon", "--seed", "7"]
 
-    def _run(self, capsys, agg):
+    def test_table_columnar_matches_rows(self, capsys):
+        from repro.cli import main
+        from repro.core.pipeline import run_study
+        from repro.services.catalog import build_catalog
+
+        assert main(["table", "1"] + self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Group")
+        study = run_study(
+            services=[s for s in build_catalog() if s.slug == "weather"],
+            seed=7,
+            duration=30.0,
+            train_recon=False,
+        )
+        assert out == render_table1(reference.table1(study)) + "\n"
+
+    def test_agg_option_rejected(self, capsys):
         from repro.cli import main
 
-        assert main(["table", "1"] + self.ARGS + ["--agg", agg]) == 0
-        return capsys.readouterr().out
-
-    def test_table_columnar_matches_rows(self, capsys):
-        rows = self._run(capsys, "rows")
-        assert rows.startswith("Group")
-        assert self._run(capsys, "columnar") == rows
-        assert self._run(capsys, "auto") == rows
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--agg", "rows"] + self.ARGS)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --agg" in capsys.readouterr().err

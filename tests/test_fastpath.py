@@ -1,12 +1,13 @@
 """Equivalence and property tests for the fast-path detection engine.
 
-Every fast path in the detection stack keeps its original implementation
-as a reference mode: the Aho–Corasick matcher against the per-form scan
-(``GroundTruthMatcher(slow=True)``), and the indexed EasyList engine
-against the whole-list probe (``FilterList.match_linear``).  These tests
-pin the equivalences — the optimizations must change *how fast* answers
-arrive, never *which* answers (§3.2 fidelity: same matches, faster
-search) — plus the determinism of the ``workers`` analysis fan-out.
+Every fast path in the detection stack is pinned to its original
+implementation, kept in :mod:`repro.qa.reference`: the Aho–Corasick
+matcher against the per-form scan (``LinearGroundTruthMatcher``), and
+the indexed EasyList engine against the whole-list probe
+(``match_linear``).  These tests pin the equivalences — the
+optimizations must change *how fast* answers arrive, never *which*
+answers (§3.2 fidelity: same matches, faster search) — plus the
+determinism of the ``workers`` analysis fan-out.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.pii.automaton import AhoCorasick
 from repro.pii.encodings import encode_value, variants
 from repro.pii.matcher import GroundTruthMatcher, matcher_for
 from repro.pii.types import PiiType
+from repro.qa.reference import LinearGroundTruthMatcher, match_linear
 from repro.services.catalog import build_catalog
 from repro.services.world import build_world
 from repro.trackerdb.easylist import bundled_easylist
@@ -94,7 +96,7 @@ class TestAhoCorasick:
 
 
 # ---------------------------------------------------------------------------
-# Fast matcher vs. slow=True reference
+# Fast matcher vs. the linear reference scan
 
 _GROUND_TRUTH = {
     PiiType.EMAIL: ["signup1234@testmail.example"],
@@ -120,7 +122,7 @@ class TestFastSlowMatcherEquivalence:
     def _pair(self, ground_truth):
         return (
             GroundTruthMatcher(ground_truth),
-            GroundTruthMatcher(ground_truth, slow=True),
+            LinearGroundTruthMatcher(ground_truth),
         )
 
     def test_identical_on_planted_forms(self):
@@ -185,6 +187,37 @@ class TestFastSlowMatcherEquivalence:
             slow.match_request(request)
         )
 
+    def test_memos_keyed_on_every_component(self):
+        """Requests and texts that differ in one part only — URL, a header
+        name, a header value, the body, letter case — through one memoized
+        matcher: every answer equals a fresh unmemoized scan."""
+        fast, slow = self._pair(_GROUND_TRUTH)
+        url = "https://t.example/c?x=1&email=signup1234%40testmail.example"
+        headers = [("Host", "t.example"), ("X-Device", "aa:bb:cc:dd:ee:ff")]
+        body = b'{"name": "Jordan"}'
+        requests = [
+            CapturedRequest("POST", url, headers=headers, body=body),
+            CapturedRequest("POST", url + "&zip=02115", headers=headers, body=body),
+            CapturedRequest(
+                "POST", url, headers=[("Host", "t.example"), ("Cookie", "uid=1")], body=body
+            ),
+            CapturedRequest(
+                "POST",
+                url,
+                headers=[("Host", "t.example"), ("X-Id", "aa:bb:cc:dd:ee:ff")],
+                body=body,
+            ),
+            CapturedRequest("POST", url, headers=headers, body=b'{"pw": "pwSecretXYZ"}'),
+        ]
+        for request in requests * 2:
+            assert _match_keys(fast.match_request(request)) == _match_keys(
+                slow.match_request(request)
+            ), request
+        for text in ("name=JORDAN&more", "name=Jordan&more", "name=jordan&more") * 2:
+            assert _match_keys(fast.match_text(text)) == _match_keys(
+                slow.match_text(text)
+            ), text
+
 
 # ---------------------------------------------------------------------------
 # Indexed EasyList vs. linear reference
@@ -219,7 +252,7 @@ class TestFilterIndexEquivalence:
             for url in _probe_urls_for(rule):
                 for page_host, rtype in contexts:
                     assert compiled.match(url, page_host, rtype) is (
-                        compiled.match_linear(url, page_host, rtype)
+                        match_linear(compiled, url, page_host, rtype)
                     ), (rule.raw, url, page_host, rtype)
                     probed += 1
         assert probed > len(compiled)  # every rule contributed probes
@@ -234,8 +267,8 @@ class TestFilterIndexEquivalence:
     def test_random_urls_agree_with_linear(self, host, path, page_host, rtype):
         compiled = bundled_easylist()
         url = f"https://{host}/{path.lstrip('/')}"
-        assert compiled.match(url, page_host, rtype) is compiled.match_linear(
-            url, page_host, rtype
+        assert compiled.match(url, page_host, rtype) is match_linear(
+            compiled, url, page_host, rtype
         )
 
     def test_verdict_memo_stable_across_repeats(self):
@@ -301,7 +334,7 @@ class TestParallelAnalysis:
         checked = 0
         for record in dataset:
             fast = matcher_for(record.ground_truth)
-            slow = GroundTruthMatcher(record.ground_truth, slow=True)
+            slow = LinearGroundTruthMatcher(record.ground_truth)
             for flow in record.trace:
                 if not flow.decrypted:
                     continue

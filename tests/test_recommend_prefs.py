@@ -9,6 +9,10 @@ serving layer.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +151,23 @@ class TestRecommendCli:
         prefs.write_text("{not json")
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--prefs", str(prefs)])
+
+    def test_scores_independent_of_hash_seed(self):
+        """Scores sum float weights over a set of leaked types; summed in
+        set order, priceline's app score read 1.9499999999999997 under
+        one PYTHONHASHSEED and 1.9500000000000002 under another."""
+        repo_root = Path(__file__).resolve().parents[1]
+        command = [
+            sys.executable, "-m", "repro", "recommend",
+            "--services", "weather,grubhub,cnn,yelp,priceline,netflix",
+            "--no-recon", "--executor", "serial", "--json",
+        ]
+        outputs = set()
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = str(repo_root / "src")
+            result = subprocess.run(
+                command, capture_output=True, env=env, cwd=repo_root, check=True
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
