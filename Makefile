@@ -16,7 +16,7 @@ FUZZ_ROUNDS ?= 25
 
 .PHONY: test bench bench-all bench-check bench-stream bench-serve bench-qa \
 	bench-scaling bench-columnar bench-campaign bench-campaign-scale \
-	bench-mitigate bench-ingest perfbench fuzz fuzz-smoke serve clean
+	bench-mitigate bench-ingest bench-recon perfbench fuzz fuzz-smoke serve clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -127,6 +127,13 @@ bench-ingest:
 		--benchmark-json=$(BENCH_DIR)/BENCH_ingest.json -q
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_ingest.json \
 		--baseline benchmarks/BENCH_ingest.json --tolerance 0.50
+
+# ReCon training: the bitset trainer vs the repro.qa reference trainer
+# on the 3-service subset's training examples, fitted alternately in
+# one process.  The gate is a ratio (>= 3x, identical trees), so it
+# holds on any host and needs no recorded baseline.
+bench-recon:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/test_bench_recon.py -q
 
 # Fuzzing-harness throughput (scenario generation + oracle scenarios/sec).
 bench-qa:

@@ -6,7 +6,7 @@ Three questions, one file:
   (serial / thread / process) and worker counts — the number the
   process-pool engine is measured by;
 - is the compact binary trace format actually faster to load than the
-  legacy JSONL (it must be: it is the process pool's wire format);
+  legacy JSONL (it must be: it is the on-disk trace format);
 - what does the persistent cache buy on an unchanged re-run (the
   acceptance bar is >= 5x on ``run_study``).
 

@@ -587,6 +587,7 @@ def cmd_fuzz(args) -> int:
             f"{stats.get('sessions', 0)} sessions, {stats.get('flows', 0)} flows, "
             f"{stats.get('paths', 0)} paths, {stats.get('matcher_probes', 0)} matcher + "
             f"{stats.get('filter_probes', 0)} filter probes, "
+            f"{stats.get('recon_trees', 0)} ReCon trees, "
             f"{stats.get('fault_checks', 0)} fault checks"
         )
 

@@ -2,15 +2,19 @@
 
 A :class:`~concurrent.futures.ProcessPoolExecutor` can only ship
 module-level callables, so the per-session pipeline stages live here as
-plain functions over codec-encoded payloads:
+plain functions:
 
-- the *payload* crossing the pool's call queue is the session record in
-  the compact binary form from :mod:`repro.net.codec` — one ``bytes``
-  object, far cheaper to pickle than the object graph;
 - the *context* every task needs (service specs, trained ReCon
   classifier) is installed once per worker by :func:`init_worker` via
   the pool's initializer — under the ``fork`` start method it is
   inherited from the parent without any serialization at all;
+- a batch map hands :func:`init_worker` its whole record list too, and
+  each task names its record by index (:func:`analyze_index`,
+  :func:`label_index`, :func:`rescan_index`): forked workers read the
+  parent's records in place, spawned ones unpickle the list once;
+- a stream of records not known up front (ingest's persistent pool,
+  ``imap_analyze``) ships each session as one compact codec blob
+  (:mod:`repro.net.codec`) to :func:`analyze_blob`;
 - *results* return as the JSON-safe dict forms the streaming
   checkpoints already pin round-trip-faithful
   (:meth:`SessionAnalysis.to_dict` / :meth:`LeakRecord.to_dict`), plus
@@ -22,13 +26,15 @@ per-process and are reused across that worker's tasks.
 
 from __future__ import annotations
 
-_CONTEXT = {"specs_by_slug": None, "recon": None, "campaign": None}
+_CONTEXT = {"specs_by_slug": None, "recon": None, "records": None, "campaign": None}
 
 
-def init_worker(specs: list, recon) -> None:
-    """Pool initializer: install the per-worker analysis context."""
+def init_worker(specs: list, recon, records: list = None) -> None:
+    """Pool initializer: install the per-worker analysis context, and
+    the records a batch map's index tasks read."""
     _CONTEXT["specs_by_slug"] = {spec.slug: spec for spec in specs}
     _CONTEXT["recon"] = recon
+    _CONTEXT["records"] = records
 
 
 def init_campaign(specs: list, config: dict) -> None:
@@ -81,30 +87,37 @@ def campaign_merge_blobs(blobs: list) -> bytes:
     )
 
 
-def analyze_blob(blob: bytes) -> dict:
-    """Full per-session analysis; returns ``SessionAnalysis.to_dict()``."""
+def _analyze(record) -> dict:
     from ..core.pipeline import analyze_session
-    from ..net import codec
 
-    record = codec.decode_record(blob)
     spec = _CONTEXT["specs_by_slug"][record.service]
     return analyze_session(record, spec, recon=_CONTEXT["recon"]).to_dict()
 
 
-def label_blob(blob: bytes) -> list:
+def analyze_index(index: int) -> dict:
+    """Full per-session analysis; returns ``SessionAnalysis.to_dict()``."""
+    return _analyze(_CONTEXT["records"][index])
+
+
+def analyze_blob(blob: bytes) -> dict:
+    """:func:`analyze_index` for a codec-encoded record."""
+    from ..net import codec
+
+    return _analyze(codec.decode_record(blob))
+
+
+def label_index(index: int) -> list:
     """ReCon labeling; returns the session's ``TrainingExample`` list."""
     from ..core.pipeline import label_record
-    from ..net import codec
 
-    return label_record(codec.decode_record(blob))
+    return label_record(_CONTEXT["records"][index])
 
 
-def rescan_blob(blob: bytes) -> dict:
+def rescan_index(index: int) -> dict:
     """Deferred matching∪ReCon re-scan (streaming finalize stage)."""
     from ..core.pipeline import rescan_session
-    from ..net import codec
 
-    record = codec.decode_record(blob)
+    record = _CONTEXT["records"][index]
     spec = _CONTEXT["specs_by_slug"][record.service]
     leaks, false_positives = rescan_session(record, spec, recon=_CONTEXT["recon"])
     return {

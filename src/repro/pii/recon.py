@@ -64,19 +64,36 @@ def _is_hex(value: str) -> bool:
     return bool(value) and all(c in "0123456789abcdefABCDEF" for c in value)
 
 
-def featurize(request: CapturedRequest) -> set:
-    """Build the binary feature bag for one request."""
-    features: set = set()
+def parse_request(request: CapturedRequest) -> tuple:
+    """``(url, fields)``: the request's parsed URL (``None`` when it
+    does not parse) and its extracted fields, parsed once for both
+    :func:`featurize` and the caller's domain lookup."""
     try:
         url = parse_url(request.url)
+    except UrlError:
+        url = None
+    return url, extract_fields(request, url)
+
+
+def _domain(url) -> str:
+    return domain_key(url.host) if url is not None else ""
+
+
+def featurize(request: CapturedRequest, parsed: Optional[tuple] = None) -> set:
+    """Build the binary feature bag for one request.
+
+    ``parsed`` is the request's :func:`parse_request` pair when the
+    caller already has it; otherwise the request is parsed here.
+    """
+    url, fields = parsed if parsed is not None else parse_request(request)
+    features: set = set()
+    if url is not None:
         features.add(f"domain:{domain_key(url.host)}")
         for segment in url.path.split("/"):
             if segment and not segment.isdigit():
                 features.add(f"path:{segment.lower()}")
-    except UrlError:
-        pass
     features.add(f"method:{request.method}")
-    for fld in extract_fields(request):
+    for fld in fields:
         key = fld.key.lower()
         features.add(f"key:{key}")
         features.add(f"kv:{key}={_value_shape(fld.value)}")
@@ -105,8 +122,27 @@ def _entropy(positives: int, total: int) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
+def _bitset(indices: list) -> int:
+    """The int whose set bits are the ascending ``indices``."""
+    if not indices:
+        return 0
+    bits = bytearray(indices[-1] // 8 + 1)
+    for index in indices:
+        bits[index >> 3] |= 1 << (index & 7)
+    return int.from_bytes(bits, "little")
+
+
 class DecisionTree:
-    """Binary decision tree over set-of-string features (ID3-style)."""
+    """Binary decision tree over set-of-string features (ID3-style).
+
+    Training works on bitsets: sample *i* is bit *i*, a node is the
+    mask of its samples, and each vocabulary feature (and the positive
+    label) is one mask over all samples.  Every split count is then
+    ``(node & mask).bit_count()`` instead of a pass over the node's
+    samples.  Gains use the same float expressions and the same
+    candidate order as the plain per-sample trainer kept in
+    :mod:`repro.qa.reference`, which the QA oracle pins tree for tree.
+    """
 
     def __init__(self, max_depth: int = 8, min_samples_leaf: int = 3, max_features: int = 400) -> None:
         if max_depth < 1:
@@ -122,9 +158,23 @@ class DecisionTree:
             raise ValueError("samples and labels must align")
         if not samples:
             raise ValueError("cannot fit an empty training set")
+        # Samples with equal feature bags fall on the same side of every
+        # split, so each distinct bag is counted and encoded once.  A
+        # bag keeps its first sample's set: iterating it meets features
+        # in the order a per-sample pass first meets them.
+        bags: dict = {}
+        for index, features in enumerate(samples):
+            key = frozenset(features)
+            bag = bags.get(key)
+            if bag is None:
+                bags[key] = bag = (features, [])
+            bag[1].append(index)
         counts: Counter = Counter()
-        for features in samples:
-            counts.update(features)
+        members = []
+        for features, indices in bags.values():
+            members.append((features, _bitset(indices)))
+            for feature in features:
+                counts[feature] += len(indices)
         # Candidate order must not depend on the process's string-hash
         # seed: a set here would make split tie-breaks (equal gain)
         # vary across interpreters, so trees trained in a worker
@@ -132,16 +182,25 @@ class DecisionTree:
         # stable (count desc, first-seen order on ties) and the final
         # sort pins one canonical iteration order everywhere.
         vocabulary = sorted(f for f, _ in counts.most_common(self.max_features))
-        self._root = self._grow(samples, labels, vocabulary, depth=0)
+        masks = dict.fromkeys(vocabulary, 0)
+        for features, mask in members:
+            for feature in features:
+                if feature in masks:
+                    masks[feature] |= mask
+        positive = _bitset([index for index, label in enumerate(labels) if label])
+        everyone = (1 << len(samples)) - 1
+        self._root = self._grow(everyone, positive, masks, vocabulary, depth=0)
         return self
 
-    def _grow(self, samples: list, labels: list, vocabulary: list, depth: int) -> _Node:
-        positives = sum(labels)
-        total = len(labels)
+    def _grow(self, node: int, labels: int, masks: dict, candidates: list, depth: int) -> _Node:
+        total = node.bit_count()
+        positive = node & labels
+        positives = positive.bit_count()
         probability = positives / total if total else 0.0
+        min_leaf = self.min_samples_leaf
         if (
             depth >= self.max_depth
-            or total < 2 * self.min_samples_leaf
+            or total < 2 * min_leaf
             or positives == 0
             or positives == total
         ):
@@ -150,20 +209,21 @@ class DecisionTree:
         parent_entropy = _entropy(positives, total)
         best_feature = None
         best_gain = 1e-9
-        for feature in vocabulary:
-            pos_with = pos_without = n_with = 0
-            for features, label in zip(samples, labels):
-                if feature in features:
-                    n_with += 1
-                    pos_with += label
-                else:
-                    pos_without += label
+        # A feature that leaves a side below min_samples_leaf here does
+        # so in every descendant too (a child's samples are a subset),
+        # so only the features that pass are handed down.
+        viable = []
+        for feature in candidates:
+            mask = masks[feature]
+            n_with = (node & mask).bit_count()
             n_without = total - n_with
-            if n_with < self.min_samples_leaf or n_without < self.min_samples_leaf:
+            if n_with < min_leaf or n_without < min_leaf:
                 continue
+            viable.append(feature)
+            pos_with = (positive & mask).bit_count()
             children_entropy = (
                 n_with / total * _entropy(pos_with, n_with)
-                + n_without / total * _entropy(pos_without, n_without)
+                + n_without / total * _entropy(positives - pos_with, n_without)
             )
             gain = parent_entropy - children_entropy
             if gain > best_gain:
@@ -172,19 +232,12 @@ class DecisionTree:
         if best_feature is None:
             return _Node(probability=probability)
 
-        with_samples, with_labels, without_samples, without_labels = [], [], [], []
-        for features, label in zip(samples, labels):
-            if best_feature in features:
-                with_samples.append(features)
-                with_labels.append(label)
-            else:
-                without_samples.append(features)
-                without_labels.append(label)
-        remaining = [f for f in vocabulary if f != best_feature]
+        present = node & masks[best_feature]
+        remaining = [f for f in viable if f != best_feature]
         return _Node(
             feature=best_feature,
-            present=self._grow(with_samples, with_labels, remaining, depth + 1),
-            absent=self._grow(without_samples, without_labels, remaining, depth + 1),
+            present=self._grow(present, labels, masks, remaining, depth + 1),
+            absent=self._grow(node ^ present, labels, masks, remaining, depth + 1),
             probability=probability,
         )
 
@@ -247,6 +300,8 @@ class TrainingExample:
 class ReconClassifier:
     """Per-type (and per-domain, where data allows) PII classifiers."""
 
+    tree_class = DecisionTree
+
     def __init__(
         self,
         threshold: float = 0.5,
@@ -264,11 +319,10 @@ class ReconClassifier:
 
     @staticmethod
     def make_example(request: CapturedRequest, labels: set) -> TrainingExample:
-        try:
-            domain = domain_key(parse_url(request.url).host)
-        except UrlError:
-            domain = ""
-        return TrainingExample(features=featurize(request), domain=domain, labels=set(labels))
+        parsed = parse_request(request)
+        return TrainingExample(
+            features=featurize(request, parsed), domain=_domain(parsed[0]), labels=set(labels)
+        )
 
     def fit(self, examples: list) -> "ReconClassifier":
         """Train from :class:`TrainingExample` records."""
@@ -288,7 +342,7 @@ class ReconClassifier:
             labels = [pii_type in ex.labels for ex in examples]
             if not any(labels) or all(labels):
                 continue
-            tree = DecisionTree(max_depth=self.max_depth)
+            tree = self.tree_class(max_depth=self.max_depth)
             tree.fit([ex.features for ex in examples], labels)
             self._global[pii_type] = tree
             self.trained_types.add(pii_type)
@@ -298,7 +352,7 @@ class ReconClassifier:
                 domain_labels = [pii_type in ex.labels for ex in domain_examples]
                 if not any(domain_labels) or all(domain_labels):
                     continue
-                specialist = DecisionTree(max_depth=self.max_depth)
+                specialist = self.tree_class(max_depth=self.max_depth)
                 specialist.fit([ex.features for ex in domain_examples], domain_labels)
                 self._specialists[(domain, pii_type)] = specialist
         return self
@@ -316,12 +370,10 @@ class ReconClassifier:
         each with the heuristically extracted key/value when one of the
         type's synonym keys is present.
         """
-        features = featurize(request)
-        try:
-            domain = domain_key(parse_url(request.url).host)
-        except UrlError:
-            domain = ""
-        fields = extract_fields(request)
+        parsed = parse_request(request)
+        features = featurize(request, parsed)
+        url, fields = parsed
+        domain = _domain(url)
         predictions = []
         # Sorted: prediction order feeds the detector's observation
         # merge, so it must not follow randomized set-hash order.

@@ -60,13 +60,21 @@ def _header_is_interesting(name: str) -> bool:
     return verdict
 
 
-def extract_fields(request: CapturedRequest) -> list:
-    """Extract every structured field from ``request`` in stable order."""
+_UNPARSED = object()
+
+
+def extract_fields(request: CapturedRequest, url=_UNPARSED) -> list:
+    """Extract every structured field from ``request`` in stable order.
+
+    ``url`` is the request's already-parsed URL (``None`` when it does
+    not parse); by default the URL is parsed here.
+    """
     fields: list = []
-    try:
-        url = parse_url(request.url)
-    except UrlError:
-        url = None
+    if url is _UNPARSED:
+        try:
+            url = parse_url(request.url)
+        except UrlError:
+            url = None
 
     if url is not None:
         for key, value in url.query_pairs():

@@ -10,8 +10,8 @@ Paths compared against the ``workers=1`` batch reference:
 
 - batch with ``workers=N`` (parallel per-session analysis);
 - batch through each pinned :mod:`repro.par` backend — the process
-  pool by default, whose workers re-serialize every session through
-  the binary codec and own a fresh string-hash seed;
+  pool by default, whose workers get their records through the pool
+  initializer and, under ``spawn``, a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
 - the columnar aggregation engine and every consumer rendered from it
   vs the row-wise walk in :mod:`repro.qa.reference`;
@@ -22,6 +22,9 @@ Paths compared against the ``workers=1`` batch reference:
 - the indexed EasyList engine vs :func:`repro.qa.reference.match_linear`
   over the scenario's URL probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;
+- every ReCon tree, global and per-domain, the bitset trainer fits on
+  the scenario's training slice vs the reference's per-sample trainer
+  (:class:`~repro.qa.reference.ReferenceReconClassifier`);
 - the mitigation data plane: an installed all-allow policy is
   byte-inert, mitigated traffic analyzes identically in serial /
   process-pool / streaming, re-collection under the same policy and
@@ -37,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..core.pipeline import analyze_dataset
+from ..core.pipeline import analyze_dataset, label_record, recon_training_records
 from ..experiment.runner import ExperimentRunner
 from ..pii.matcher import GroundTruthMatcher
 from ..services.world import build_world
@@ -154,6 +157,45 @@ def _match_signature(matches) -> tuple:
 
 def _identity(value):
     return value
+
+
+def _first_tree_difference(expected: tuple, actual: tuple, path: str = "root"):
+    """``(path, expected node, actual node)`` of the first node where
+    two :func:`~repro.qa.reference.tree_shape` trees differ."""
+    if expected[:2] != actual[:2] or len(expected) != len(actual):
+        return path, repr(expected[:2]), repr(actual[:2])
+    for branch, want, got in zip(("present", "absent"), expected[2:], actual[2:]):
+        found = _first_tree_difference(want, got, f"{path}.{branch}")
+        if found is not None:
+            return found
+    return None
+
+
+def recon_tree_divergences(examples: list, mutate=_identity) -> tuple:
+    """Fit the product and the reference classifier on ``examples`` and
+    compare every tree, global and per-domain, node for node (split
+    feature and probability).  ``mutate`` corrupts the product's trees
+    (the canary hook).  Returns ``(divergences, trees compared)``."""
+    from ..pii.recon import ReconClassifier
+    from .reference import ReferenceReconClassifier, classifier_trees
+
+    if not examples:
+        return [], 0
+    expected = classifier_trees(ReferenceReconClassifier().fit(examples))
+    actual = mutate(classifier_trees(ReconClassifier().fit(examples)))
+    divergences = []
+    for key in sorted(set(expected) | set(actual)):
+        domain, pii_type = key
+        component = f"recon[tree:{domain or '*'}|{pii_type}]"
+        if key not in actual or key not in expected:
+            divergences.append(
+                Divergence(component, "<trees>", repr(key in expected), repr(key in actual))
+            )
+            continue
+        found = _first_tree_difference(expected[key], actual[key])
+        if found is not None:
+            divergences.append(Divergence(component, *found))
+    return divergences, len(expected)
 
 
 def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> OracleReport:
@@ -600,6 +642,19 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
                     )
         except Exception as exc:  # invariants must never raise
             divergences.append(Divergence("psl[crash]", host, "no exception", repr(exc)))
+
+    # -- ReCon trainer -------------------------------------------------------
+    # Trained whether or not the scenario's study uses ReCon: the slice
+    # is the one train_recon_on_dataset would learn from.
+    recon_examples = [
+        example
+        for record in recon_training_records(dataset)
+        for example in label_record(record)
+    ]
+    tree_divergences, stats["recon_trees"] = recon_tree_divergences(
+        recon_examples, lambda trees: mutate("recon", trees)
+    )
+    divergences.extend(tree_divergences)
 
     # -- ingest service ------------------------------------------------------
     # The server's second execution engine: uploading this scenario's

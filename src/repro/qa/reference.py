@@ -15,7 +15,10 @@ expected side of every equivalence pin:
   kernel — and :class:`RowsCampaignContext`, whose per-user fold does
   the same for campaigns;
 - :class:`LinearGroundTruthMatcher`, the per-form substring scan;
-- :func:`match_linear`, the whole-list EasyList probe.
+- :func:`match_linear`, the whole-list EasyList probe;
+- :class:`ReferenceDecisionTree`, the ReCon trainer that counts every
+  split by a pass over the node's samples, and
+  :class:`ReferenceReconClassifier`, which fits its trees with it.
 
 ``python -m repro.qa.reference analyze DATASET`` prints the report
 ``repro analyze DATASET`` prints, computed through this module.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 
 from ..analysis.columnar import CellAggregate, ServiceMeta, StudyAggregate
@@ -46,6 +49,7 @@ from ..core.compare import study_diffs
 from ..experiment.dataset import APP, WEB
 from ..pii import encodings
 from ..pii.matcher import _CS, GroundTruthMatcher, PiiMatch
+from ..pii.recon import DecisionTree, ReconClassifier, _entropy, _Node
 from ..trackerdb.abpfilter import _host_of, same_party
 from ..trackerdb.easylist import bundled_easylist
 from ..trackerdb.psl import domain_key
@@ -315,6 +319,105 @@ class LinearGroundTruthMatcher(GroundTruthMatcher):
                 )
         self._scan_extras(text, found)
         return list(found.values())
+
+
+class ReferenceDecisionTree(DecisionTree):
+    """:class:`DecisionTree` with the per-sample trainer the bitset one
+    replaced: every candidate split is counted by walking the node's
+    samples, vocabulary counts walk every sample, and each child gets
+    the parent's whole remaining vocabulary."""
+
+    def fit(self, samples: list, labels: list) -> "ReferenceDecisionTree":
+        if len(samples) != len(labels):
+            raise ValueError("samples and labels must align")
+        if not samples:
+            raise ValueError("cannot fit an empty training set")
+        counts: Counter = Counter()
+        for features in samples:
+            counts.update(features)
+        vocabulary = sorted(f for f, _ in counts.most_common(self.max_features))
+        self._root = self._grow_samples(samples, labels, vocabulary, depth=0)
+        return self
+
+    def _grow_samples(self, samples: list, labels: list, vocabulary: list, depth: int) -> _Node:
+        positives = sum(labels)
+        total = len(labels)
+        probability = positives / total if total else 0.0
+        if (
+            depth >= self.max_depth
+            or total < 2 * self.min_samples_leaf
+            or positives == 0
+            or positives == total
+        ):
+            return _Node(probability=probability)
+
+        parent_entropy = _entropy(positives, total)
+        best_feature = None
+        best_gain = 1e-9
+        for feature in vocabulary:
+            pos_with = pos_without = n_with = 0
+            for features, label in zip(samples, labels):
+                if feature in features:
+                    n_with += 1
+                    pos_with += label
+                else:
+                    pos_without += label
+            n_without = total - n_with
+            if n_with < self.min_samples_leaf or n_without < self.min_samples_leaf:
+                continue
+            children_entropy = (
+                n_with / total * _entropy(pos_with, n_with)
+                + n_without / total * _entropy(pos_without, n_without)
+            )
+            gain = parent_entropy - children_entropy
+            if gain > best_gain:
+                best_gain = gain
+                best_feature = feature
+        if best_feature is None:
+            return _Node(probability=probability)
+
+        with_samples, with_labels, without_samples, without_labels = [], [], [], []
+        for features, label in zip(samples, labels):
+            if best_feature in features:
+                with_samples.append(features)
+                with_labels.append(label)
+            else:
+                without_samples.append(features)
+                without_labels.append(label)
+        remaining = [f for f in vocabulary if f != best_feature]
+        return _Node(
+            feature=best_feature,
+            present=self._grow_samples(with_samples, with_labels, remaining, depth + 1),
+            absent=self._grow_samples(without_samples, without_labels, remaining, depth + 1),
+            probability=probability,
+        )
+
+
+class ReferenceReconClassifier(ReconClassifier):
+    """:class:`ReconClassifier` whose trees the reference trainer fits."""
+
+    tree_class = ReferenceDecisionTree
+
+
+def tree_shape(tree: DecisionTree) -> tuple:
+    """A fitted tree as nested ``(feature, probability, present,
+    absent)`` tuples; a leaf is ``(None, probability)``."""
+
+    def walk(node: _Node) -> tuple:
+        if node.is_leaf:
+            return (None, node.probability)
+        return (node.feature, node.probability, walk(node.present), walk(node.absent))
+
+    return walk(tree._root)
+
+
+def classifier_trees(classifier: ReconClassifier) -> dict:
+    """``{(domain, PII type value): tree_shape}`` over every tree of a
+    fitted classifier; the global trees have domain ``""``."""
+    trees = {("", pii_type.value): tree for pii_type, tree in classifier._global.items()}
+    for (domain, pii_type), tree in classifier._specialists.items():
+        trees[(domain, pii_type.value)] = tree
+    return {key: tree_shape(tree) for key, tree in sorted(trees.items())}
 
 
 def match_linear(filters, url: str, page_host: str = "", resource_type: str = "other"):

@@ -1,8 +1,12 @@
 """Tests for the execution engine (repro.par): backend equivalence."""
 
+import gc
+import multiprocessing
+import pickle
+
 import pytest
 
-from repro.core.pipeline import analyze_dataset
+from repro.core.pipeline import analyze_dataset, train_recon_on_dataset
 from repro.experiment.runner import ExperimentRunner
 from repro.par import (
     EXECUTOR_NAMES,
@@ -13,7 +17,9 @@ from repro.par import (
     default_executor_name,
     resolve_executor,
 )
+from repro.par import executor as executor_module
 from repro.qa.oracle import canonical_bytes
+from repro.qa.reference import classifier_trees
 from repro.qa.scenarios import generate_scenario
 from repro.services.world import build_world
 from repro.stream.analyzer import stream_dataset
@@ -117,6 +123,65 @@ class TestBackendEquivalence:
             executor=ThreadExecutor(workers=3),
         )
         assert canonical_bytes(study) == reference_bytes
+
+
+class TestSpawnWorkers:
+    """CI hosts fork; ``spawn`` is the portable fallback, where workers
+    unpickle their records once and own a fresh string-hash seed."""
+
+    @pytest.fixture
+    def spawn_only(self, monkeypatch):
+        monkeypatch.setattr(
+            executor_module, "_mp_context", lambda: multiprocessing.get_context("spawn")
+        )
+
+    def test_analyze_dataset_byte_identical(self, small_world, reference_bytes, spawn_only):
+        scenario, specs, dataset = small_world
+        study = analyze_dataset(
+            dataset,
+            specs,
+            train_recon=scenario.train_recon,
+            executor=ProcessExecutor(workers=2),
+        )
+        assert canonical_bytes(study) == reference_bytes
+
+    def test_train_recon_byte_identical(self, small_world, spawn_only):
+        _scenario, _specs, dataset = small_world
+        serial = train_recon_on_dataset(dataset, executor="serial")
+        spawned = train_recon_on_dataset(dataset, executor=ProcessExecutor(workers=2))
+        assert classifier_trees(spawned) == classifier_trees(serial)
+        assert pickle.dumps(spawned) == pickle.dumps(serial)
+
+
+class TestFrozenHeap:
+    """The batch maps freeze the parent's heap while their pool lives
+    and always thaw it, failure included."""
+
+    def test_thawed_after_map(self, small_world):
+        _scenario, _specs, dataset = small_world
+        ProcessExecutor(workers=2).map_label(list(dataset))
+        assert gc.get_freeze_count() == 0
+
+    def test_thawed_after_failing_worker(self, small_world):
+        _scenario, _specs, dataset = small_world
+        # No specs: each worker's spec lookup raises KeyError.
+        with pytest.raises(KeyError):
+            ProcessExecutor(workers=2).map_analyze(list(dataset), [], None)
+        assert gc.get_freeze_count() == 0
+
+    def test_frozen_while_pool_lives(self, small_world, monkeypatch):
+        _scenario, _specs, dataset = small_world
+        seen = []
+        original = executor_module.ProcessPoolExecutor
+
+        def watching(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", watching)
+        ProcessExecutor(workers=2).map_label(list(dataset))
+        assert seen and seen[0] > 0
+        assert gc.get_freeze_count() == 0
 
 
 @pytest.fixture(scope="module")

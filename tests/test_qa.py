@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.pipeline import analyze_dataset
+from repro.core.pipeline import analyze_dataset, label_record, recon_training_records
 from repro.experiment.runner import ExperimentRunner
 from repro.http.message import Request
 from repro.http.transport import (
@@ -52,6 +52,7 @@ from repro.qa.oracle import (
     OracleReport,
     canonical_bytes,
     first_divergent_field,
+    recon_tree_divergences,
     run_oracle,
 )
 from repro.qa.scenarios import (
@@ -222,6 +223,40 @@ class TestOracle:
         report = run_oracle(small_scenario, mutators={"matcher": plant})
         assert not report.ok
         assert any(d.component.startswith("matcher") for d in report.divergences)
+
+
+class TestReconTreePin:
+    """The oracle's ReCon pin: every bitset-trained tree equals the
+    reference trainer's, node for node."""
+
+    @pytest.fixture(scope="class")
+    def examples(self, small_world):
+        _specs, dataset, _expected = small_world
+        return [
+            example
+            for record in recon_training_records(dataset)
+            for example in label_record(record)
+        ]
+
+    def test_trees_agree(self, examples):
+        divergences, trees = recon_tree_divergences(examples)
+        assert divergences == []
+        assert trees >= 2  # a global tree and a per-domain one
+
+    def test_tree_mutation_canary(self, examples):
+        def nudge(trees):
+            key = max(trees)
+            shape = trees[key]
+            trees[key] = shape[:3] + (("canary", 0.5, (None, 0.0), (None, 1.0)),)
+            return trees
+
+        divergences, _trees = recon_tree_divergences(examples, nudge)
+        assert len(divergences) == 1
+        assert divergences[0].component.startswith("recon[tree:")
+        assert divergences[0].path == "root.absent"
+
+    def test_no_examples_no_trees(self):
+        assert recon_tree_divergences([]) == ([], 0)
 
 
 class TestKillResume:

@@ -11,9 +11,16 @@ from repro.pii.recon import (
     ReconClassifier,
     TrainingExample,
     featurize,
+    parse_request,
     train_from_traces,
 )
 from repro.pii.types import PiiType
+from repro.qa.reference import (
+    ReferenceDecisionTree,
+    ReferenceReconClassifier,
+    classifier_trees,
+    tree_shape,
+)
 
 
 def beacon(domain, pairs):
@@ -120,6 +127,130 @@ class TestDecisionTree:
             labels[0] = not labels[0]
         tree = DecisionTree(min_samples_leaf=2).fit(samples, labels)
         assert 0.0 <= tree.predict_proba(samples[0]) <= 1.0
+
+
+@st.composite
+def tree_problems(draw):
+    """``(samples, labels, tree parameters)`` built to hit the trainer's
+    edge cases: twin features (always together, so every split on one
+    ties the other), complement features (present exactly when another
+    is absent, another tie), sample counts at ``2 * min_samples_leaf``,
+    vocabularies truncated by ``max_features`` among equal counts, and
+    pure or near-pure labels."""
+    min_samples_leaf = draw(st.integers(min_value=0, max_value=5))
+    n = draw(
+        st.one_of(
+            st.integers(min_value=max(1, 2 * min_samples_leaf - 1), max_value=2 * min_samples_leaf + 1),
+            st.integers(min_value=1, max_value=48),
+        )
+    )
+    base = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(
+        st.lists(st.frozensets(st.integers(min_value=0, max_value=base - 1)), min_size=n, max_size=n)
+    )
+    twins = draw(st.frozensets(st.integers(min_value=0, max_value=base - 1)))
+    complements = draw(st.frozensets(st.integers(min_value=0, max_value=base - 1)))
+    samples = []
+    for row in rows:
+        features = {f"f{i}" for i in row}
+        features |= {f"t{i}" for i in row & twins}
+        features |= {f"c{i}" for i in complements - row}
+        samples.append(features)
+    mode = draw(st.sampled_from(["random", "pure", "near-pure", "feature"]))
+    if mode == "random":
+        labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    elif mode == "feature":
+        labels = ["f0" in features for features in samples]
+    else:
+        value = draw(st.booleans())
+        labels = [value] * n
+        if mode == "near-pure":
+            labels[draw(st.integers(min_value=0, max_value=n - 1))] = not value
+    params = {
+        "max_depth": draw(st.integers(min_value=1, max_value=6)),
+        "min_samples_leaf": min_samples_leaf,
+        "max_features": draw(st.integers(min_value=1, max_value=3 * base + 1)),
+    }
+    return samples, labels, params
+
+
+class TestBitsetTrainer:
+    """The bitset trainer grows the reference trainer's tree exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_problems())
+    def test_same_tree_as_reference(self, problem):
+        samples, labels, params = problem
+        fast = DecisionTree(**params).fit(samples, labels)
+        slow = ReferenceDecisionTree(**params).fit(samples, labels)
+        assert tree_shape(fast) == tree_shape(slow)
+
+    def test_equal_gain_tie_goes_to_first_in_vocabulary_order(self):
+        samples = [{"b", "a"}, {"a", "b"}, {"c"}, {"c"}]
+        tree = DecisionTree(min_samples_leaf=1).fit(samples, [True, True, False, False])
+        assert tree_shape(tree) == ("a", 0.5, (None, 1.0), (None, 0.0))
+        assert tree_shape(tree) == tree_shape(
+            ReferenceDecisionTree(min_samples_leaf=1).fit(samples, [True, True, False, False])
+        )
+
+    def test_classifier_trees_match_reference(self):
+        rng = random.Random(9)
+        examples = _training_examples(rng, n=200)
+        # Mixed labels within one domain, so specialist trees grow too.
+        for i in range(120):
+            pairs = [("v", str(i)), ("page", rng.choice(["home", "cart"]))]
+            labels = set()
+            if rng.random() < 0.5:
+                pairs.append(("email", "user@x.com"))
+                labels.add(PiiType.EMAIL)
+            if rng.random() < 0.3:
+                pairs.append(("lat", "42.1"))
+                labels.add(PiiType.LOCATION)
+            examples.append(ReconClassifier.make_example(beacon("mixed-d.com", pairs), labels))
+        fast = ReconClassifier(min_domain_samples=20).fit(examples)
+        slow = ReferenceReconClassifier(min_domain_samples=20).fit(examples)
+        assert classifier_trees(fast) == classifier_trees(slow)
+        assert len(classifier_trees(fast)) > len(fast.trained_types)  # specialists too
+
+    def test_fit_keeps_no_training_state(self):
+        tree = DecisionTree().fit([{"a"}, {"b"}] * 4, [True, False] * 4)
+        assert set(vars(tree)) == {"max_depth", "min_samples_leaf", "max_features", "_root"}
+
+
+class TestOneParsePerRequest:
+    def test_parsed_pair_gives_the_same_features(self):
+        request = beacon("t.tracker.com", [("email", "a@b.c"), ("lat", "42.1")])
+        assert featurize(request, parse_request(request)) == featurize(request)
+
+    def test_unparseable_url_has_no_domain_feature(self):
+        request = CapturedRequest("GET", "gopher://x.com/a", headers=[])
+        url, _fields = parse_request(request)
+        assert url is None
+        assert not any(f.startswith("domain:") for f in featurize(request))
+        assert ReconClassifier.make_example(request, set()).domain == ""
+
+    def test_predict_parses_each_request_once(self, monkeypatch):
+        from repro.pii import recon, structure
+
+        classifier = ReconClassifier().fit(_training_examples(random.Random(4)))
+        calls = {"parse_url": 0, "extract_fields": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(recon, "parse_url", counting("parse_url", recon.parse_url))
+        monkeypatch.setattr(structure, "parse_url", counting("parse_url", structure.parse_url))
+        monkeypatch.setattr(
+            recon, "extract_fields", counting("extract_fields", recon.extract_fields)
+        )
+        classifier.predict(beacon("tracker-a.com", [("email", "z@q.net")]))
+        assert calls == {"parse_url": 1, "extract_fields": 1}
+        ReconClassifier.make_example(beacon("tracker-a.com", [("v", "1")]), set())
+        assert calls == {"parse_url": 2, "extract_fields": 2}
 
 
 def _training_examples(rng, n=300):
