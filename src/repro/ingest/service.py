@@ -38,7 +38,7 @@ from ..core.recommend import PrivacyPreferences
 from ..experiment.dataset import OSES, APP, WEB
 from ..net import codec
 from ..net.codec import CodecError
-from ..par import resolve_executor
+from ..par import resolve_executor, tasks
 from ..serve.app import canonical_json, recommend_payload
 from ..serve.ratelimit import RateLimiter
 from .jobs import Job, JobStore
@@ -374,38 +374,24 @@ class IngestService:
     def _analyze_stream(self, records: list, specs: list):
         """Per-record analyses for one job, streaming in record order.
 
-        The batch executors create a fresh process pool per map call —
-        right for one big offline map, ruinous for a stream of small
-        jobs, where the per-job ``fork`` both dominates job latency and
-        periodically stalls the serving event loop.  The process
-        backend therefore runs over one long-lived pool, created on
-        first use and initialized with the *full* spec pool
-        (``analyze_blob`` resolves each record's spec by slug, so every
-        job's subset is covered); serial/thread engines stream as-is.
+        A batch map starts a fresh process pool per call — right for one
+        big offline map, ruinous for a stream of small jobs, where the
+        per-job ``fork`` both dominates job latency and periodically
+        stalls the serving event loop.  The process backend therefore
+        runs every job over one long-lived :meth:`Executor.open_pool`,
+        created on first use with the *full* spec pool (each record's
+        spec is resolved by slug, so every job's subset is covered) and
+        fed one codec blob per record; serial/thread engines stream
+        through :meth:`Executor.imap_analyze` as-is.
         """
         if self.engine.name != "process" or not records:
             return self.engine.imap_analyze(records, specs, None)
-        from ..par import tasks
-        from ..par.executor import _mp_context, _stream_windowed
-
         with self._lock:
             if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.engine.workers,
-                    mp_context=_mp_context(),
-                    initializer=tasks.init_worker,
-                    initargs=(list(self._spec_pool()), None),
-                )
+                self._pool = self.engine.open_pool(list(self._spec_pool()))
             pool = self._pool
         blobs = [codec.encode_record(record) for record in records]
-        return (
-            SessionAnalysis.from_dict(payload)
-            for payload in _stream_windowed(
-                pool, tasks.analyze_blob, blobs, self.engine.workers * 2
-            )
-        )
+        return pool.imap(tasks.ANALYZE_BLOB, blobs)
 
     def _specs_for(self, records: list) -> list:
         slugs = {record.service for record in records}

@@ -1,16 +1,20 @@
 """Pluggable execution engine: serial / thread / process backends.
 
-One :class:`Executor` interface maps the per-session pipeline stages
-(analyze, ReCon labeling, journal re-scan) over session records; the
-batch pipeline, the streaming finalizer, and the QA oracle all route
-through it, and every backend is pinned byte-identical for any worker
-count.
+Every per-session pipeline stage (analyze, ReCon labeling, journal
+re-scan, columnar aggregation, campaign shards and merges) is a pure
+task over one item (:mod:`repro.par.tasks`), and :class:`Executor`
+writes each stage once over the fan-out primitives its backends
+supply: a batch map and a live :class:`Pool` (submit, plus one
+bounded-window stream).  The batch pipeline, the streaming finalizer,
+campaigns, ingest and the QA oracle all route through it, and every
+backend is pinned byte-identical for any worker count.
 """
 
 from .executor import (
     EXECUTOR_NAMES,
     Executor,
     ExecutorError,
+    Pool,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -22,6 +26,7 @@ __all__ = [
     "EXECUTOR_NAMES",
     "Executor",
     "ExecutorError",
+    "Pool",
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",

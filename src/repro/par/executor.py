@@ -1,24 +1,35 @@
-"""Executor backends: one interface, three ways to spend cores.
+"""Executor backends: one set of pipeline stages, three ways to spend cores.
 
 The pipeline's fan-out points (:func:`analyze_dataset`,
 :func:`train_recon_on_dataset`, the streaming finalizer's journal
-replay) all map a pure per-session function over an ordered list of
-records.  An :class:`Executor` owns *how* that map runs:
+replay, campaign shards and merges, ingest jobs) all map a pure
+per-item task (:mod:`repro.par.tasks`) over an ordered list.  Each
+stage is written once, on :class:`Executor`, over three fan-out
+primitives that each backend supplies:
+
+- ``_batch`` — map a task over a list, results in input order;
+- ``_open`` — a live :class:`Pool` whose ``submit(task, item)`` returns
+  a future; its ``imap`` is the one bounded-window stream in input
+  order, and the same handle serves the persistent pools
+  (:meth:`Executor.session_pool`, :meth:`Executor.open_pool`).
+
+The backends:
 
 - :class:`SerialExecutor` — plain loop, zero overhead, the reference;
+  it is also what every backend runs when a pool could use at most one
+  worker;
 - :class:`ThreadExecutor` — ``ThreadPoolExecutor``; threads share the
   GIL, so this only helps where C-level work releases it (kept as the
   legacy ``workers=N`` behavior);
 - :class:`ProcessExecutor` — ``ProcessPoolExecutor``; the only backend
   where ``--workers N`` means N cores for this pure-Python CPU-bound
-  pipeline.  Context (specs + ReCon, and a batch map's records)
-  installs once per worker through the pool initializer, streamed
-  records ship as compact codec blobs (:mod:`repro.net.codec`), and
-  results come back as JSON-safe dicts.
+  pipeline.  The task context (specs + ReCon, and a batch map's
+  records) installs once per worker through the pool initializer, and
+  results come back in their wire form (:class:`repro.par.tasks.Task`).
 
-Every backend returns results aligned with the *input* record order,
-and the QA oracle pins all of them byte-identical to serial for any
-worker count.  The process backend additionally requires hash-seed
+Every backend returns results aligned with the *input* order, and the
+QA oracle pins all of them byte-identical to serial for any worker
+count.  The process backend additionally requires hash-seed
 independence from the stages it runs (see the sorted-iteration notes
 in :mod:`repro.pii.recon`), because a spawned worker gets its own
 string-hash seed.
@@ -27,12 +38,13 @@ string-hash seed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import multiprocessing
 import os
-import time
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Optional, Union
+from typing import Union
 
 from . import tasks
 
@@ -40,7 +52,90 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 class ExecutorError(Exception):
-    """Raised for unknown backend names or misconfigured executors."""
+    """Raised for unknown backend names, misconfigured executors, and
+    failed campaign shards (naming the ``[start, stop)`` range)."""
+
+
+class Pool:
+    """A live worker pool whose workers hold one task context.
+
+    ``submit(task, item)`` returns a future whose ``result()`` is
+    ``task.run(context, item)``.  ``workers`` is the effective
+    parallelism callers size their in-flight windows from.  Used as a
+    context manager, exiting cancels queued work and waits out the
+    in-flight items, so an early exit leaks no threads or processes.
+    """
+
+    def __init__(self, workers: int, submit, shutdown=None, window: int = 0) -> None:
+        self.workers = workers
+        self._submit = submit
+        self._shutdown = shutdown
+        self._window = window or 2 * workers
+
+    def submit(self, task: tasks.Task, item):
+        """Schedule ``task`` on ``item``; returns its future."""
+        future = self._submit(task, item)
+        return future if task.name is None else _Named(future, task.name(item))
+
+    def imap(self, task: tasks.Task, items):
+        """Results of ``task`` over ``items`` in input order, with at
+        most a bounded window in flight: ``items`` are consumed lazily
+        and each result is handed on before later items are submitted."""
+        pending = deque()
+        for item in items:
+            pending.append(self.submit(task, item))
+            if len(pending) >= self._window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        if self._shutdown is not None:
+            self._shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown(wait=True, cancel_futures=True)
+
+
+class _Named:
+    """A future whose failure, in its task or in the pool running it (a
+    worker killed mid-shard), raises :class:`ExecutorError` naming the
+    item instead of a bare traceback from deep inside the fold."""
+
+    __slots__ = ("_future", "_name")
+
+    def __init__(self, future, name: str) -> None:
+        self._future = future
+        self._name = name
+
+    def result(self):
+        try:
+            return self._future.result()
+        except ExecutorError:
+            raise
+        except Exception as exc:
+            raise ExecutorError(f"{self._name} failed: {exc}") from exc
+
+
+class SessionPool:
+    """Handle yielded by :meth:`Executor.session_pool`.
+
+    ``submit((start, stop))`` returns immediately with a future-like
+    object; ``workers`` is the effective parallelism (1 for the serial
+    backend) the driver sizes its in-flight window from.
+    """
+
+    def __init__(self, pool: Pool) -> None:
+        self.workers = pool.workers
+        self._pool = pool
+
+    def submit(self, shard_range):
+        """Schedule one ``(start, stop)`` user range; the returned
+        future's ``result()`` is ``(elapsed_seconds, aggregate)``."""
+        return self._pool.submit(tasks.CAMPAIGN_CHUNK, shard_range)
 
 
 class Executor:
@@ -51,21 +146,53 @@ class Executor:
     def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
 
+    # -- fan-out primitives: each backend supplies these ----------------------
+
+    def _batch(self, task: tasks.Task, context: dict, items: list, workers: int) -> list:
+        """``task`` over ``items`` on a ``workers``-wide pool whose tasks
+        see ``tasks.Context(**context)``."""
+        raise NotImplementedError
+
+    def _open(self, context: dict, workers: int) -> Pool:
+        """A live ``workers``-wide :class:`Pool` over that context."""
+        raise NotImplementedError
+
+    def _fanout(self, count: int) -> tuple:
+        """``(backend, workers)`` for ``count`` items: the serial loop
+        whenever a pool could use at most one worker.  Results are
+        byte-identical either way; this only skips the pool's cost."""
+        workers = min(self.workers, count)
+        return (self, workers) if workers > 1 else (SerialExecutor(), 1)
+
+    def _map(self, task: tasks.Task, context: dict, items) -> list:
+        backend, workers = self._fanout(len(items))
+        return backend._batch(task, context, items, workers)
+
+    def _stream(self, task: tasks.Task, context: dict, items):
+        items = list(items)
+        backend, workers = self._fanout(len(items))
+        with backend._open(context, workers) as pool:
+            yield from pool.imap(task, items)
+
+    # -- the pipeline stages ---------------------------------------------------
+
     def map_analyze(self, records: list, specs: list, recon) -> list:
         """Full analysis per record -> ``list[SessionAnalysis]``."""
-        raise NotImplementedError
+        context = dict(specs=specs, recon=recon, records=records)
+        return self._map(tasks.ANALYZE, context, range(len(records)))
 
     def map_label(self, records: list) -> list:
         """ReCon labeling per record -> ``list[list[TrainingExample]]``."""
-        raise NotImplementedError
+        return self._map(tasks.LABEL, dict(records=records), range(len(records)))
 
     def map_rescan(self, records: list, specs: list, recon) -> list:
         """Deferred re-scan per record -> ``list[(leaks, false_positives)]``."""
-        raise NotImplementedError
+        context = dict(specs=specs, recon=recon, records=records)
+        return self._map(tasks.RESCAN, context, range(len(records)))
 
     def map_aggregate(self, blobs: list) -> list:
         """Columnar kernel per batch blob -> ``list[StudyAggregate]``."""
-        raise NotImplementedError
+        return self._map(tasks.AGGREGATE, {}, blobs)
 
     def map_sessions(self, shard_ranges, specs: list, config: dict):
         """Campaign fan-out: simulate whole session-shards.
@@ -74,9 +201,11 @@ class Executor:
         ranges; yields one :class:`~repro.campaign.engine.CampaignAggregate`
         per shard, *streaming* in input order — at most a bounded
         window of shards is in flight, so the caller folds partials as
-        they arrive and the full population never materializes.
+        they arrive and the full population never materializes.  A
+        failing shard raises :class:`ExecutorError` naming its range.
         """
-        raise NotImplementedError
+        context = dict(specs=specs, config=config)
+        yield from self._stream(tasks.CAMPAIGN_SHARD, context, shard_ranges)
 
     def imap_analyze(self, records, specs: list, recon):
         """Streaming :meth:`map_analyze`: yield one
@@ -86,8 +215,11 @@ class Executor:
         journaled (and the job parked for resume) between records
         instead of only after a whole batch.
         """
-        raise NotImplementedError
+        records = list(records)
+        context = dict(specs=specs, recon=recon, records=records)
+        yield from self._stream(tasks.ANALYZE, context, range(len(records)))
 
+    @contextlib.contextmanager
     def session_pool(self, specs: list, config: dict):
         """Context manager over a persistent campaign worker pool.
 
@@ -99,113 +231,37 @@ class Executor:
         (cancelling queued work), so an early-exiting driver leaks no
         threads or processes.
         """
-        raise NotImplementedError
+        backend, workers = self._fanout(self.workers)
+        with backend._open(dict(specs=specs, config=config), workers) as pool:
+            yield SessionPool(pool)
 
     def map_merge(self, blob_windows: list) -> list:
         """Campaign tree reduction: fold each window (an ordered list
         of KIND_CAGG blobs) into one merged blob.  Context-free — the
-        blobs are self-contained — so the process backend needs no pool
-        initializer and the merge work lands on the workers instead of
-        the coordinator."""
-        raise NotImplementedError
+        blobs are self-contained — so the merge work lands on the
+        workers instead of the coordinator."""
+        return self._map(tasks.MERGE, {}, blob_windows)
+
+    def open_pool(self, specs: list) -> Pool:
+        """A long-lived analysis :class:`Pool` over ``specs`` for records
+        that arrive after it starts (submit :data:`tasks.ANALYZE_BLOB`
+        with a codec-encoded record).  It keeps real workers even at
+        ``workers=1``, taking the analysis off the caller's interpreter;
+        the caller shuts it down."""
+        return self._open(dict(specs=specs), self.workers)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} workers={self.workers}>"
 
 
-class SessionPool:
-    """Handle yielded by :meth:`Executor.session_pool`.
-
-    ``submit`` returns immediately with a future-like object;
-    ``workers`` is the effective parallelism (1 for the serial backend)
-    the driver sizes its in-flight window from.
-    """
-
-    def __init__(self, workers: int, submit_fn) -> None:
-        self.workers = workers
-        self._submit = submit_fn
-
-    def submit(self, shard_range):
-        """Schedule one ``(start, stop)`` user range; the returned
-        future's ``result()`` is ``(elapsed_seconds, aggregate)``."""
-        return self._submit(shard_range)
-
-
-def _shard_error(item, exc) -> "ExecutorError":
-    start, stop = item
-    return ExecutorError(f"campaign shard [{start}, {stop}) failed: {exc}")
-
-
-class _ShardFuture:
-    """Future wrapper: annotates failures with the shard range and
-    post-processes successful payloads (blob decode for the process
-    backend)."""
-
-    __slots__ = ("_item", "_future", "_decode")
-
-    def __init__(self, item, future, decode=None) -> None:
-        self._item = item
-        self._future = future
-        self._decode = decode
-
-    def result(self):
-        try:
-            payload = self._future.result()
-        except ExecutorError:
-            raise
-        except Exception as exc:
-            raise _shard_error(self._item, exc) from exc
-        return self._decode(payload) if self._decode is not None else payload
-
-
-def _timed_shard(context, shard_range):
-    start, stop = shard_range
-    began = time.perf_counter()
-    partial = context.run_shard(start, stop)
-    return time.perf_counter() - began, partial
-
-
-def _immediate_shard(context, shard_range) -> "_ShardFuture":
-    """Serial ``submit``: run now, park value/error in a done future."""
+def _run_now(context: tasks.Context, task: tasks.Task, item) -> Future:
+    """Inline ``submit``: run now, park the value or error in a done future."""
     future: Future = Future()
     try:
-        future.set_result(_timed_shard(context, shard_range))
-    except Exception as exc:  # annotated by _ShardFuture at result()
+        future.set_result(task.run(context, item))
+    except Exception as exc:  # raised again by result(), like a pool's
         future.set_exception(exc)
-    return _ShardFuture(shard_range, future)
-
-
-def _stream_windowed(pool, fn, items, window: int):
-    """Submit ``items`` to ``pool`` keeping at most ``window`` futures
-    outstanding; yield results in submission order.  The bounded window
-    is what makes the session fan-out streaming: upstream shard
-    descriptors are consumed lazily and downstream results are folded
-    before later shards are even submitted."""
-    from collections import deque
-
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def _stream_shards(pool, fn, ranges, window: int, decode=None):
-    """Campaign variant of :func:`_stream_windowed`: results come back
-    through :class:`_ShardFuture`, so a worker failure surfaces as
-    :class:`ExecutorError` naming the failing ``[start, stop)`` range
-    instead of a bare traceback from deep inside the fold."""
-    from collections import deque
-
-    pending = deque()
-    for item in ranges:
-        pending.append(_ShardFuture(item, pool.submit(fn, item), decode))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    return future
 
 
 class SerialExecutor(Executor):
@@ -216,60 +272,14 @@ class SerialExecutor(Executor):
     def __init__(self, workers: int = 1) -> None:
         super().__init__(1)
 
-    def map_analyze(self, records: list, specs: list, recon) -> list:
-        from ..core.pipeline import analyze_session
+    def _batch(self, task, context, items, workers):
+        bound = tasks.Context(**context)
+        return [task.run(bound, item) for item in items]
 
-        by_slug = {spec.slug: spec for spec in specs}
-        return [
-            analyze_session(record, by_slug[record.service], recon=recon)
-            for record in records
-        ]
-
-    def map_label(self, records: list) -> list:
-        from ..core.pipeline import label_record
-
-        return [label_record(record) for record in records]
-
-    def map_rescan(self, records: list, specs: list, recon) -> list:
-        from ..core.pipeline import rescan_session
-
-        by_slug = {spec.slug: spec for spec in specs}
-        return [
-            rescan_session(record, by_slug[record.service], recon=recon)
-            for record in records
-        ]
-
-    def map_aggregate(self, blobs: list) -> list:
-        from ..analysis.columnar import aggregate_blob
-
-        return [aggregate_blob(blob) for blob in blobs]
-
-    def map_sessions(self, shard_ranges, specs: list, config: dict):
-        from ..campaign.engine import CampaignContext
-
-        context = CampaignContext.from_config(list(specs), config)
-        for start, stop in shard_ranges:
-            try:
-                yield context.run_shard(start, stop)
-            except Exception as exc:
-                raise _shard_error((start, stop), exc) from exc
-
-    def imap_analyze(self, records, specs: list, recon):
-        from ..core.pipeline import analyze_session
-
-        by_slug = {spec.slug: spec for spec in specs}
-        for record in records:
-            yield analyze_session(record, by_slug[record.service], recon=recon)
-
-    @contextlib.contextmanager
-    def session_pool(self, specs: list, config: dict):
-        from ..campaign.engine import CampaignContext
-
-        context = CampaignContext.from_config(list(specs), config)
-        yield SessionPool(1, lambda item: _immediate_shard(context, item))
-
-    def map_merge(self, blob_windows: list) -> list:
-        return [tasks.campaign_merge_blobs(window) for window in blob_windows]
+    def _open(self, context, workers):
+        # A window of one keeps a stream lazy: each item runs only when
+        # its result is asked for.
+        return Pool(1, functools.partial(_run_now, tasks.Context(**context)), window=1)
 
 
 class ThreadExecutor(Executor):
@@ -277,105 +287,17 @@ class ThreadExecutor(Executor):
 
     name = "thread"
 
-    def _map(self, fn, items: list) -> list:
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
+    def _batch(self, task, context, items, workers):
+        run = functools.partial(task.run, tasks.Context(**context))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, items))
 
-    def map_analyze(self, records: list, specs: list, recon) -> list:
-        from ..core.pipeline import analyze_session
-
-        by_slug = {spec.slug: spec for spec in specs}
-        return self._map(
-            lambda record: analyze_session(record, by_slug[record.service], recon=recon),
-            records,
+    def _open(self, context, workers):
+        bound = tasks.Context(**context)
+        pool = ThreadPoolExecutor(max_workers=workers)
+        return Pool(
+            workers, lambda task, item: pool.submit(task.run, bound, item), pool.shutdown
         )
-
-    def map_label(self, records: list) -> list:
-        from ..core.pipeline import label_record
-
-        return self._map(label_record, records)
-
-    def map_rescan(self, records: list, specs: list, recon) -> list:
-        from ..core.pipeline import rescan_session
-
-        by_slug = {spec.slug: spec for spec in specs}
-        return self._map(
-            lambda record: rescan_session(record, by_slug[record.service], recon=recon),
-            records,
-        )
-
-    def map_aggregate(self, blobs: list) -> list:
-        from ..analysis.columnar import aggregate_blob
-
-        return self._map(aggregate_blob, blobs)
-
-    def map_sessions(self, shard_ranges, specs: list, config: dict):
-        from ..campaign.engine import CampaignContext
-
-        context = CampaignContext.from_config(list(specs), config)
-        ranges = list(shard_ranges)
-        if self.workers <= 1 or len(ranges) <= 1:
-            for start, stop in ranges:
-                try:
-                    yield context.run_shard(start, stop)
-                except Exception as exc:
-                    raise _shard_error((start, stop), exc) from exc
-            return
-        pool = ThreadPoolExecutor(max_workers=self.workers)
-        try:
-            yield from _stream_shards(
-                pool,
-                lambda item: context.run_shard(item[0], item[1]),
-                ranges,
-                self.workers * 2,
-            )
-        finally:
-            # Runs on early generator close too: cancel queued shards,
-            # wait out in-flight ones, leak no threads.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    @contextlib.contextmanager
-    def session_pool(self, specs: list, config: dict):
-        from ..campaign.engine import CampaignContext
-
-        context = CampaignContext.from_config(list(specs), config)
-        if self.workers <= 1:
-            yield SessionPool(1, lambda item: _immediate_shard(context, item))
-            return
-        pool = ThreadPoolExecutor(max_workers=self.workers)
-        try:
-            yield SessionPool(
-                self.workers,
-                lambda item: _ShardFuture(
-                    item, pool.submit(_timed_shard, context, item)
-                ),
-            )
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def map_merge(self, blob_windows: list) -> list:
-        return self._map(tasks.campaign_merge_blobs, blob_windows)
-
-    def imap_analyze(self, records, specs: list, recon):
-        from ..core.pipeline import analyze_session
-
-        by_slug = {spec.slug: spec for spec in specs}
-        records = list(records)
-        if self.workers <= 1 or len(records) <= 1:
-            for record in records:
-                yield analyze_session(record, by_slug[record.service], recon=recon)
-            return
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            yield from _stream_windowed(
-                pool,
-                lambda record: analyze_session(
-                    record, by_slug[record.service], recon=recon
-                ),
-                records,
-                self.workers * 2,
-            )
 
 
 def _mp_context():
@@ -384,10 +306,24 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+class _Decoded:
+    """A process pool's future, decoding the shipped result in the parent."""
+
+    __slots__ = ("_future", "_decode")
+
+    def __init__(self, future, decode) -> None:
+        self._future = future
+        self._decode = decode
+
+    def result(self):
+        payload = self._future.result()
+        return payload if self._decode is None else self._decode(payload)
+
+
 class ProcessExecutor(Executor):
     """Process-pool backend: true multi-core for pure-Python stages.
 
-    A fresh pool is created per map call because the worker context
+    A batch map starts a fresh pool per call because the task context
     (specs, trained ReCon, the records) differs between stages.  Starting
     the pool itself is cheap: about 0.02 s for 2 ``fork`` workers on a
     2-core host.  What a pool used to cost was moving the sessions, and
@@ -408,176 +344,32 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def _run(self, task_fn, records: list, specs: list, recon) -> list:
-        if not records:
-            return []
-        context = (list(specs), recon, records)
-        indices = range(len(records))
-        workers = min(self.workers, len(records))
-        if workers <= 1:
-            # Degenerate pool sizes skip the pool entirely; results are
-            # byte-identical either way, this is purely less overhead.
-            tasks.init_worker(*context)
-            try:
-                return [task_fn(index) for index in indices]
-            finally:
-                tasks.init_worker([], None)
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_mp_context(),
-                initializer=tasks.init_worker,
-                initargs=context,
-            ) as pool:
-                return list(pool.map(task_fn, indices))
-        finally:
-            gc.unfreeze()
-
-    def map_analyze(self, records: list, specs: list, recon) -> list:
-        from ..core.pipeline import SessionAnalysis
-
-        payloads = self._run(tasks.analyze_index, records, specs, recon)
-        return [SessionAnalysis.from_dict(payload) for payload in payloads]
-
-    def map_label(self, records: list) -> list:
-        return self._run(tasks.label_index, records, [], None)
-
-    def map_rescan(self, records: list, specs: list, recon) -> list:
-        from ..core.leaks import LeakRecord
-
-        payloads = self._run(tasks.rescan_index, records, specs, recon)
-        return [
-            (
-                [LeakRecord.from_dict(entry) for entry in payload["leaks"]],
-                payload["recon_false_positives"],
-            )
-            for payload in payloads
-        ]
-
-    def map_aggregate(self, blobs: list) -> list:
-        from ..analysis.columnar import StudyAggregate, aggregate_blob
-
-        if not blobs:
-            return []
-        workers = min(self.workers, len(blobs))
-        if workers <= 1:
-            # Same degenerate-pool shortcut as _run: skip IPC entirely.
-            return [aggregate_blob(blob) for blob in blobs]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-        ) as pool:
-            return [
-                StudyAggregate.from_dict(payload)
-                for payload in pool.map(tasks.aggregate_batch_blob, blobs)
-            ]
-
-    def map_sessions(self, shard_ranges, specs: list, config: dict):
-        from ..net import codec
-
-        ranges = list(shard_ranges)
-        if not ranges:
-            return
-        workers = min(self.workers, len(ranges))
-        if workers <= 1:
-            # Degenerate pool sizes skip IPC entirely; results are
-            # byte-identical either way, this is purely less overhead.
-            tasks.init_campaign(list(specs), config)
-            for item in ranges:
-                try:
-                    yield codec.decode_campaign(tasks.campaign_shard(item))
-                except Exception as exc:
-                    raise _shard_error(item, exc) from exc
-            return
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-            initializer=tasks.init_campaign,
-            initargs=(list(specs), config),
-        )
-        try:
-            yield from _stream_shards(
-                pool,
-                tasks.campaign_shard,
-                ranges,
-                workers * 2,
-                decode=codec.decode_campaign,
-            )
-        finally:
-            # Runs on early generator close too: cancel queued shards,
-            # wait out in-flight ones, leave no orphaned processes.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    @contextlib.contextmanager
-    def session_pool(self, specs: list, config: dict):
-        from ..campaign.engine import CampaignContext
-        from ..net import codec
-
-        if self.workers <= 1:
-            context = CampaignContext.from_config(list(specs), config)
-            yield SessionPool(1, lambda item: _immediate_shard(context, item))
-            return
-
-        def decode(payload):
-            elapsed, blob = payload
-            return elapsed, codec.decode_campaign(blob)
-
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_mp_context(),
-            initializer=tasks.init_campaign,
-            initargs=(list(specs), config),
-        )
-        try:
-            yield SessionPool(
-                self.workers,
-                lambda item: _ShardFuture(
-                    item, pool.submit(tasks.campaign_chunk, item), decode
-                ),
-            )
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def map_merge(self, blob_windows: list) -> list:
-        if not blob_windows:
-            return []
-        workers = min(self.workers, len(blob_windows))
-        if workers <= 1:
-            # Same degenerate-pool shortcut as _run: skip IPC entirely.
-            return [tasks.campaign_merge_blobs(window) for window in blob_windows]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-        ) as pool:
-            return list(pool.map(tasks.campaign_merge_blobs, blob_windows))
-
-    def imap_analyze(self, records, specs: list, recon):
-        from ..core.pipeline import SessionAnalysis
-        from ..net import codec
-
-        records = list(records)
-        if not records:
-            return
-        workers = min(self.workers, len(records))
-        blobs = [codec.encode_record(record) for record in records]
-        if workers <= 1:
-            # Degenerate pool sizes skip IPC entirely; results are
-            # byte-identical either way, this is purely less overhead.
-            tasks.init_worker(specs, recon)
-            for blob in blobs:
-                yield SessionAnalysis.from_dict(tasks.analyze_blob(blob))
-            return
-        with ProcessPoolExecutor(
+    def _executor(self, context: dict, workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=_mp_context(),
             initializer=tasks.init_worker,
-            initargs=(list(specs), recon),
-        ) as pool:
-            for payload in _stream_windowed(
-                pool, tasks.analyze_blob, blobs, workers * 2
-            ):
-                yield SessionAnalysis.from_dict(payload)
+            initargs=(context,),
+        )
+
+    def _batch(self, task, context, items, workers):
+        gc.freeze()
+        try:
+            with self._executor(context, workers) as pool:
+                payloads = list(pool.map(functools.partial(tasks.remote, task), items))
+        finally:
+            gc.unfreeze()
+        if task.decode is None:
+            return payloads
+        return [task.decode(payload) for payload in payloads]
+
+    def _open(self, context, workers):
+        pool = self._executor(context, workers)
+        return Pool(
+            workers,
+            lambda task, item: _Decoded(pool.submit(tasks.remote, task, item), task.decode),
+            pool.shutdown,
+        )
 
 
 def default_executor_name() -> str:

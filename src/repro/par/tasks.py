@@ -1,84 +1,150 @@
-"""Module-level task functions for the process-pool backend.
+"""The pipeline stages as tasks, and the context they run on.
 
-A :class:`~concurrent.futures.ProcessPoolExecutor` can only ship
-module-level callables, so the per-session pipeline stages live here as
-plain functions:
+Every stage :mod:`repro.par` fans out is a pure function of one item
+and a read-only :class:`Context` (service specs, trained ReCon, a batch
+map's records, a campaign's bound sampler).  A :class:`Task` names that
+function together with how its result crosses a process boundary:
 
-- the *context* every task needs (service specs, trained ReCon
-  classifier) is installed once per worker by :func:`init_worker` via
-  the pool's initializer — under the ``fork`` start method it is
-  inherited from the parent without any serialization at all;
-- a batch map hands :func:`init_worker` its whole record list too, and
-  each task names its record by index (:func:`analyze_index`,
-  :func:`label_index`, :func:`rescan_index`): forked workers read the
-  parent's records in place, spawned ones unpickle the list once;
-- a stream of records not known up front (ingest's persistent pool,
-  ``imap_analyze``) ships each session as one compact codec blob
-  (:mod:`repro.net.codec`) to :func:`analyze_blob`;
-- *results* return as the JSON-safe dict forms the streaming
-  checkpoints already pin round-trip-faithful
-  (:meth:`SessionAnalysis.to_dict` / :meth:`LeakRecord.to_dict`), plus
-  pickled :class:`TrainingExample` lists for the labeling stage.
+- in-process (serial, threads, a degenerate pool) the executor builds
+  its own :class:`Context`, passes it to ``task.run`` and uses the
+  result as-is — no module state, so concurrent callers never share a
+  context, and no codec or ``to_dict`` round trip;
+- a process pool installs one :class:`Context` per worker through the
+  pool initializer (:func:`init_worker`; under ``fork`` inherited from
+  the parent without serialization), runs :func:`remote` there, and
+  ships ``task.encode(result)`` back for ``task.decode`` in the parent.
+  The wire forms are the JSON-safe dicts the streaming checkpoints pin
+  round-trip-faithful, exact ``KIND_CAGG`` blobs for campaign partials,
+  and pickled ``TrainingExample`` lists for the labeling stage.
 
+A batch map's records ride the context, and its tasks name a record by
+index (:data:`ANALYZE`, :data:`LABEL`, :data:`RESCAN`): forked workers
+read the parent's records in place, spawned ones unpickle the list
+once.  Ingest's persistent pool sees records that arrive after the
+pool started, so it ships each as one codec blob (:data:`ANALYZE_BLOB`).
 Worker-side caches (matcher, categorizer, decode memos) warm up
 per-process and are reused across that worker's tasks.
 """
 
 from __future__ import annotations
 
-_CONTEXT = {"specs_by_slug": None, "recon": None, "records": None, "campaign": None}
+import time
+from typing import Callable, NamedTuple, Optional
 
 
-def init_worker(specs: list, recon, records: list = None) -> None:
-    """Pool initializer: install the per-worker analysis context, and
-    the records a batch map's index tasks read."""
-    _CONTEXT["specs_by_slug"] = {spec.slug: spec for spec in specs}
-    _CONTEXT["recon"] = recon
-    _CONTEXT["records"] = records
+class Task(NamedTuple):
+    """``run(context, item)`` computes one result; a process pool ships
+    ``encode(result)`` and rebuilds it with ``decode`` (``None``: the
+    result pickles as-is).  With ``name``, a streamed or submitted item
+    that fails raises ``ExecutorError`` naming it as ``name(item)``."""
+
+    run: Callable
+    encode: Optional[Callable] = None
+    decode: Optional[Callable] = None
+    name: Optional[Callable] = None
 
 
-def init_campaign(specs: list, config: dict) -> None:
-    """Pool initializer for campaign shards: rebuild the bound context
-    (sampler + specs + fold mode) once per worker.  ``config`` is the
-    JSON-safe :meth:`CampaignContext.config` dict, so fork and spawn
-    workers construct identical contexts."""
-    from ..campaign.engine import CampaignContext
+class Context:
+    """What a task reads besides its item.  ``config`` is the JSON-safe
+    :meth:`CampaignContext.config` dict, so fork and spawn workers build
+    identical campaign contexts from it."""
 
-    _CONTEXT["campaign"] = CampaignContext.from_config(specs, config)
+    def __init__(self, specs=(), recon=None, records=None, config=None) -> None:
+        self.specs_by_slug = {spec.slug: spec for spec in specs}
+        self.recon = recon
+        self.records = records
+        self.campaign = None
+        if config is not None:
+            from ..campaign.engine import CampaignContext
+
+            self.campaign = CampaignContext.from_config(list(specs), config)
 
 
-def campaign_shard(payload) -> bytes:
-    """Simulate one shard of users; returns the exact
-    (partials-preserving) KIND_CAGG blob from
-    :func:`repro.net.codec.encode_campaign`, so the parent's merge of
-    shipped partials stays bit-identical to an in-process reduction —
-    one ``bytes`` object is far cheaper to pickle than the dict form."""
+#: The context of *this* pool worker process; ``None`` in any process
+#: that is not one (in-process runs pass their context explicitly).
+_WORKER_CONTEXT: Optional[Context] = None
+
+
+def init_worker(fields: dict) -> None:
+    """Pool initializer: build this worker's :class:`Context`."""
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = Context(**fields)
+
+
+def remote(task: Task, item):
+    """Run ``task`` in a pool worker; returns the result's wire form."""
+    result = task.run(_WORKER_CONTEXT, item)
+    return result if task.encode is None else task.encode(result)
+
+
+def _analyze(context: Context, record):
+    from ..core.pipeline import analyze_session
+
+    spec = context.specs_by_slug[record.service]
+    return analyze_session(record, spec, recon=context.recon)
+
+
+def _analyze_index(context: Context, index: int):
+    return _analyze(context, context.records[index])
+
+
+def _analyze_blob(context: Context, blob: bytes):
     from ..net import codec
 
-    start, stop = payload
-    return codec.encode_campaign(_CONTEXT["campaign"].run_shard(start, stop))
+    return _analyze(context, codec.decode_record(blob))
 
 
-def campaign_chunk(payload) -> tuple:
-    """Timed variant for the adaptive planner: simulate one contiguous
-    user range and return ``(elapsed_seconds, blob)``.  The wall time is
-    measured inside the worker, so the parent's feedback loop sees pure
-    simulation cost, not queueing delay."""
-    import time
-
-    from ..net import codec
-
-    start, stop = payload
-    began = time.perf_counter()
-    partial = _CONTEXT["campaign"].run_shard(start, stop)
-    return time.perf_counter() - began, codec.encode_campaign(partial)
+def _to_dict(result) -> dict:
+    return result.to_dict()
 
 
-def campaign_merge_blobs(blobs: list) -> bytes:
-    """Worker-side tree reduction: fold a window of KIND_CAGG blobs (in
-    the given order) into one merged blob.  Context-free — the blobs
-    are self-contained — and exact, so a tree of these merges is
-    bit-identical to the master's serial left fold."""
+def _analysis_from_dict(payload: dict):
+    from ..core.pipeline import SessionAnalysis
+
+    return SessionAnalysis.from_dict(payload)
+
+
+def _label_index(context: Context, index: int) -> list:
+    from ..core.pipeline import label_record
+
+    return label_record(context.records[index])
+
+
+def _rescan_index(context: Context, index: int) -> tuple:
+    from ..core.pipeline import rescan_session
+
+    record = context.records[index]
+    spec = context.specs_by_slug[record.service]
+    return rescan_session(record, spec, recon=context.recon)
+
+
+def _encode_rescan(result: tuple) -> tuple:
+    leaks, false_positives = result
+    return [leak.to_dict() for leak in leaks], false_positives
+
+
+def _decode_rescan(payload: tuple) -> tuple:
+    from ..core.leaks import LeakRecord
+
+    leaks, false_positives = payload
+    return [LeakRecord.from_dict(entry) for entry in leaks], false_positives
+
+
+def _aggregate(context: Context, blob: bytes):
+    from ..analysis.columnar import aggregate_blob
+
+    return aggregate_blob(blob)
+
+
+def _aggregate_from_dict(payload: dict):
+    from ..analysis.columnar import StudyAggregate
+
+    return StudyAggregate.from_dict(payload)
+
+
+def _merge(context: Context, blobs: list) -> bytes:
+    """Fold a window of KIND_CAGG blobs (in order) into one merged blob;
+    exact, so a tree of these merges equals the serial left fold."""
     from ..campaign.engine import merge_campaigns
     from ..net import codec
 
@@ -87,50 +153,51 @@ def campaign_merge_blobs(blobs: list) -> bytes:
     )
 
 
-def _analyze(record) -> dict:
-    from ..core.pipeline import analyze_session
-
-    spec = _CONTEXT["specs_by_slug"][record.service]
-    return analyze_session(record, spec, recon=_CONTEXT["recon"]).to_dict()
+def _shard(context: Context, shard_range: tuple):
+    """Simulate one ``[start, stop)`` user range."""
+    return context.campaign.run_shard(*shard_range)
 
 
-def analyze_index(index: int) -> dict:
-    """Full per-session analysis; returns ``SessionAnalysis.to_dict()``."""
-    return _analyze(_CONTEXT["records"][index])
+def _shard_name(shard_range: tuple) -> str:
+    start, stop = shard_range
+    return f"campaign shard [{start}, {stop})"
 
 
-def analyze_blob(blob: bytes) -> dict:
-    """:func:`analyze_index` for a codec-encoded record."""
+def _timed_shard(context: Context, shard_range: tuple) -> tuple:
+    """``(elapsed_seconds, partial)``, timed where the shard runs, so the
+    adaptive planner sees simulation cost, not queueing delay."""
+    began = time.perf_counter()
+    partial = _shard(context, shard_range)
+    return time.perf_counter() - began, partial
+
+
+def _encode_campaign(partial) -> bytes:
     from ..net import codec
 
-    return _analyze(codec.decode_record(blob))
+    return codec.encode_campaign(partial)
 
 
-def label_index(index: int) -> list:
-    """ReCon labeling; returns the session's ``TrainingExample`` list."""
-    from ..core.pipeline import label_record
+def _decode_campaign(blob: bytes):
+    from ..net import codec
 
-    return label_record(_CONTEXT["records"][index])
-
-
-def rescan_index(index: int) -> dict:
-    """Deferred matching∪ReCon re-scan (streaming finalize stage)."""
-    from ..core.pipeline import rescan_session
-
-    record = _CONTEXT["records"][index]
-    spec = _CONTEXT["specs_by_slug"][record.service]
-    leaks, false_positives = rescan_session(record, spec, recon=_CONTEXT["recon"])
-    return {
-        "leaks": [leak.to_dict() for leak in leaks],
-        "recon_false_positives": false_positives,
-    }
+    return codec.decode_campaign(blob)
 
 
-def aggregate_batch_blob(blob: bytes) -> dict:
-    """Columnar kernel over one batch blob; returns the exact
-    (partials-preserving) ``StudyAggregate.to_dict()`` form, so merging
-    the shipped partials in the parent stays bit-identical to an
-    in-process reduction.  Context-free: the blob is self-contained."""
-    from ..analysis.columnar import aggregate_blob
+def _encode_timed(result: tuple) -> tuple:
+    elapsed, partial = result
+    return elapsed, _encode_campaign(partial)
 
-    return aggregate_blob(blob).to_dict()
+
+def _decode_timed(payload: tuple) -> tuple:
+    elapsed, blob = payload
+    return elapsed, _decode_campaign(blob)
+
+
+ANALYZE = Task(_analyze_index, _to_dict, _analysis_from_dict)
+ANALYZE_BLOB = Task(_analyze_blob, _to_dict, _analysis_from_dict)
+LABEL = Task(_label_index)
+RESCAN = Task(_rescan_index, _encode_rescan, _decode_rescan)
+AGGREGATE = Task(_aggregate, _to_dict, _aggregate_from_dict)
+MERGE = Task(_merge)
+CAMPAIGN_SHARD = Task(_shard, _encode_campaign, _decode_campaign, _shard_name)
+CAMPAIGN_CHUNK = Task(_timed_shard, _encode_timed, _decode_timed, _shard_name)

@@ -25,7 +25,6 @@ that for any seed, shard count, and kill/resume point the resulting
 
 from __future__ import annotations
 
-import random
 import tempfile
 import threading
 import time
@@ -37,6 +36,7 @@ from ..core.pipeline import (
     SessionAnalysis,
     StudyResult,
     categorizer_for,
+    train_recon_on_dataset,
 )
 from ..experiment.dataset import Dataset, SessionRecord
 from ..experiment.filtering import is_background_flow
@@ -60,11 +60,6 @@ from .checkpoint import CheckpointManager, FlowJournal
 
 #: How many flow events a shard folds in between checkpoint snapshots.
 DEFAULT_CHECKPOINT_EVERY = 200
-
-#: Batch parity: which services feed ReCon training, and the tree seed
-#: (see :func:`repro.core.pipeline.train_recon_on_dataset`).
-RECON_EVERY_NTH_SERVICE = 4
-RECON_RNG_SEED = 7
 
 
 class StreamError(Exception):
@@ -381,27 +376,31 @@ class StreamAnalyzer:
 
             engine = resolve_executor(self.executor)
             states = self.session_states()
-            if recon is None and train_recon and states:
-                recon = self._train_recon(states, engine)
-            if recon is not None:
-                self._apply_recon(states, recon, engine)
+            if (recon is not None or train_recon) and states:
+                records = self._journal_records(states)
+                if recon is None:
+                    dataset = Dataset()
+                    for record in records:
+                        dataset.add(record)
+                    recon = train_recon_on_dataset(dataset, executor=engine)
+                self._apply_recon(states, records, recon, engine)
             return self._assemble(states, recon)
         finally:
             if self._tempdir is not None:
                 self._tempdir.cleanup()
 
-    def _journal_records(self, keep) -> list:
+    def _journal_records(self, states: dict) -> list:
         """Bulk journal replay as :class:`SessionRecord` work items.
 
-        Each journaled session whose key passes ``keep`` becomes a
-        record (ground truth in publish order, flows in journal order)
-        — the executor's unit of fan-out; the process backend ships
-        them to workers in codec form.  Returned sorted by session key,
-        the canonical processing order of every pipeline path.
+        Each journaled session in ``states`` becomes a record (ground
+        truth in publish order, flows in journal order) — the
+        executor's unit of fan-out for both deferred ReCon passes.
+        Returned sorted by session key, the canonical processing order
+        of every pipeline path.
         """
         records = []
         for key, ground_truth, flows in self.journal.sessions():
-            if not keep(key):
+            if key not in states:
                 continue
             trace = Trace(
                 meta=SessionMeta(service=key[0], os_name=key[1], medium=key[2]),
@@ -419,23 +418,7 @@ class StreamAnalyzer:
         records.sort(key=lambda record: record.key)
         return records
 
-    def _train_recon(self, states: dict, engine) -> ReconClassifier:
-        """Train ReCon from the journal, mirroring the batch slice.
-
-        Same selection (every 4th service by sorted slug), same label
-        source (each session's own ground truth), same deterministic
-        example order (sessions sorted by key), same tree seed.
-        """
-        slugs = sorted({key[0] for key in states})
-        chosen = set(slugs[::RECON_EVERY_NTH_SERVICE])
-        records = self._journal_records(lambda key: key[0] in chosen)
-        examples: list = []
-        for batch in engine.map_label(records):
-            examples.extend(batch)
-        classifier = ReconClassifier(rng=random.Random(RECON_RNG_SEED))
-        return classifier.fit(examples)
-
-    def _apply_recon(self, states: dict, recon: ReconClassifier, engine) -> None:
+    def _apply_recon(self, states: dict, records: list, recon, engine) -> None:
         """Replay journaled transactions through the combined detector.
 
         Overwrites each session's leak list and false-positive count
@@ -443,7 +426,6 @@ class StreamAnalyzer:
         :func:`~repro.core.pipeline.analyze_session` computes (the
         shared :func:`~repro.core.pipeline.rescan_session` stage).
         """
-        records = self._journal_records(lambda key: key in states)
         results = engine.map_rescan(records, self.services, recon)
         for record, (leaks, false_positives) in zip(records, results):
             state = states[record.key]
