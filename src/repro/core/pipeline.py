@@ -19,7 +19,7 @@ from ..experiment.filtering import filter_background, is_background_flow
 from ..experiment.runner import ExperimentRunner
 from ..pii.detector import PiiDetector
 from ..pii.matcher import matcher_for
-from ..pii.recon import ReconClassifier, train_from_traces
+from ..pii.recon import ReconClassifier, parse_request, train_from_traces
 from ..services.service import ServiceSpec
 from ..services.world import World, build_world
 from ..trackerdb.categorize import Categorizer, THIRD_PARTY_AA
@@ -237,8 +237,9 @@ def label_record(record: SessionRecord) -> list:
         if not flow.decrypted:
             continue
         for txn in flow.transactions:
-            labels = {m.pii_type for m in matcher.match_request(txn.request)}
-            out.append(ReconClassifier.make_example(txn.request, labels))
+            parsed = parse_request(txn.request)
+            labels = {m.pii_type for m in matcher.match_request(txn.request, parsed=parsed)}
+            out.append(ReconClassifier.make_example(txn.request, labels, parsed=parsed))
     return out
 
 

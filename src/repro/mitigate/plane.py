@@ -1,8 +1,8 @@
 """The inline mitigation data plane.
 
 :class:`MitigationAddon` rides the proxy's request-rewrite stage (see
-``proxy/meddle.py``): for every decryptable request it runs the PR 1
-Aho–Corasick ground-truth matcher over the outgoing bytes, looks the
+``proxy/meddle.py``): for every decryptable request it runs the
+ground-truth matcher over the outgoing bytes, looks the
 matches up in a :class:`~repro.mitigate.policy.MitigationPolicy`, and
 rewrites the URL, headers, cookies, and body in place before the
 request reaches the (simulated) network.

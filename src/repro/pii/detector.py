@@ -23,7 +23,7 @@ from ..net.trace import Trace
 from ..trackerdb.psl import domain_key
 from . import encodings
 from .matcher import GroundTruthMatcher
-from .recon import ReconClassifier
+from .recon import ReconClassifier, parse_request
 from .types import PiiType
 
 MATCHING = "matching"
@@ -145,8 +145,10 @@ class PiiDetector:
         merged: dict = {}
         plaintext = flow.scheme == "http"
         host = flow.hostname
+        # With ReCon, matcher and classifier share one parse.
+        parsed = parse_request(txn.request) if self.recon is not None else None
 
-        for match in self.matcher.match_request(txn.request):
+        for match in self.matcher.match_request(txn.request, parsed=parsed):
             obs = merged.get(match.pii_type)
             if obs is None:
                 obs = PiiObservation(
@@ -168,7 +170,7 @@ class PiiDetector:
 
         false_positives = 0
         if self.recon is not None:
-            for prediction in self.recon.predict(txn.request):
+            for prediction in self.recon.predict(txn.request, parsed=parsed):
                 verified = not self.verify_recon or self._verify(
                     prediction.pii_type, prediction.extracted_value
                 )

@@ -7,14 +7,15 @@ coordinates get special treatment — services transmit them "with
 arbitrary precision", so numeric tokens are compared within a tolerance
 instead of textually.
 
-Searching is the pipeline's hot path, so the default implementation is a
-single-pass multi-pattern scan over an Aho–Corasick automaton built once
-per ground-truth set (see :mod:`repro.pii.automaton`), with a per-matcher
-memo of scanned texts — captured traffic repeats header and cookie
-values thousands of times.  The original per-form scan survives only
-as the reference in :mod:`repro.qa.reference`; the equivalence tests
-and the QA oracle assert both return identical matches (§3.2 fidelity:
-same matches, faster search).
+Searching is the pipeline's hot path, so matching probes one flat
+literal set per ground-truth set (see :mod:`repro.pii.automaton`): a
+C-speed substring test per lowered form, cheap to build because every
+session's ground truth differs.  A per-matcher memo of scanned texts
+and requests sits above it — captured traffic repeats header and
+cookie values thousands of times.  The plain per-form scan lives on
+only as the reference in :mod:`repro.qa.reference`; the equivalence
+tests and the QA oracle assert both return identical matches (§3.2
+fidelity: same matches, faster search).
 
 Case handling is explicit: every form is searched case-insensitively
 (hosts uppercase MACs, lowercase e-mails, etc.), *except* that the pure
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from ..net.flow import CapturedRequest
 from . import encodings
-from .automaton import AhoCorasick
+from .automaton import FormSet
 from .structure import extract_fields, searchable_text
 from .types import PiiType
 
@@ -104,7 +106,10 @@ class GroundTruthMatcher:
             else:
                 mode = _CI
             self._plan.append((form, form.lower(), pii_type, value, encoding, mode))
-        self._automaton = AhoCorasick(low for _, low, *_ in self._plan)
+        self._forms_lowered = FormSet(low for _, low, *_ in self._plan)
+        self._coord_probes = tuple(
+            sorted({probe for coord, _ in self._coords for probe in _coord_probes(coord)})
+        )
         self._memo: dict = {}
         self._request_memo: dict = {}
 
@@ -123,10 +128,10 @@ class GroundTruthMatcher:
         return list(cached)
 
     def _scan(self, text: str) -> list:
-        """One automaton pass, then confirm rare candidates."""
+        """One probe per lowered form, then confirm rare candidates."""
         found: dict = {}
         lowered = text.lower()
-        candidates = self._automaton.find_all(lowered)
+        candidates = self._forms_lowered.find_all(lowered)
         if candidates:
             for form, low, pii_type, value, encoding, mode in self._plan:
                 if low not in candidates:
@@ -149,9 +154,8 @@ class GroundTruthMatcher:
                 found[(pii_type, value, encoding)] = PiiMatch(
                     pii_type=pii_type, value=value, encoding=encoding, source="text"
                 )
-        if not self._coords or "." not in text:
-            # Every coordinate token contains a dot; skip the regex when
-            # the text cannot possibly hold one.
+        if not any(map(text.__contains__, self._coord_probes)):
+            # No token near a known coordinate can occur; skip the regex.
             return
         tokens = _COORD_RE.findall(text)
         if not tokens:
@@ -170,7 +174,7 @@ class GroundTruthMatcher:
                 except ValueError:
                     continue
 
-    def match_request(self, request: CapturedRequest) -> list:
+    def match_request(self, request: CapturedRequest, parsed: Optional[tuple] = None) -> list:
         """Scan a captured request, attributing hits to structured keys.
 
         Structure-attributed matches replace their text-scan twins, so a
@@ -179,7 +183,9 @@ class GroundTruthMatcher:
 
         Results are memoized per request content — traces repeat beacon
         and heartbeat requests heavily, and the matches are pure
-        functions of (url, headers, body).
+        functions of (url, headers, body).  ``parsed`` is the request's
+        :func:`repro.pii.recon.parse_request` pair when the caller
+        already has it; otherwise a memo miss extracts the fields here.
         """
         # Captured headers are already (name, value) tuples, so one
         # outer tuple() makes the list hashable.
@@ -190,7 +196,8 @@ class GroundTruthMatcher:
         by_identity = {}
         for match in self.match_text(searchable_text(request)):
             by_identity[(match.pii_type, match.value, match.encoding)] = match
-        for field in extract_fields(request):
+        fields = parsed[1] if parsed is not None else extract_fields(request)
+        for field in fields:
             for match in self.match_text(field.value):
                 key = (match.pii_type, match.value, match.encoding)
                 by_identity[key] = PiiMatch(
@@ -211,9 +218,11 @@ class GroundTruthMatcher:
         return {match.pii_type for match in self.match_request(request)}
 
 
-# One matcher per distinct ground-truth set: construction (hash digests,
-# automaton build) dominates per-session cost, and study runs reuse the
-# same ground truth across many scans.
+# One matcher per distinct ground-truth set.  Ground truth is per
+# session (email, username and password are per service), and building
+# a matcher is cheap, so the cache pays when one record is scanned
+# twice: ``label_record`` and then ``analyze_session`` of a ReCon
+# training record share a matcher, and the second pass hits its memos.
 _MATCHER_CACHE: dict = {}
 _MATCHER_CACHE_MAX = 256
 
@@ -237,6 +246,19 @@ def matcher_for(ground_truth: dict, include_hashes: bool = True) -> GroundTruthM
             ground_truth, include_hashes=include_hashes
         )
     return matcher
+
+
+def _coord_probes(coord: float) -> set:
+    """``"<n>."`` for each integer part ``n`` that a coordinate token
+    within :data:`GPS_TOLERANCE` of ``coord`` can carry.
+
+    A token's digits before the dot, leading zeros dropped, end with
+    ``n``, so the text holds ``"<n>."`` too.  The interval is widened
+    to twice the tolerance so float rounding at its ends drops nothing.
+    """
+    low, high = coord - 2 * GPS_TOLERANCE, coord + 2 * GPS_TOLERANCE
+    nearest = 0.0 if low <= 0.0 <= high else min(abs(low), abs(high))
+    return {f"{n}." for n in range(int(nearest), int(max(abs(low), abs(high))) + 1)}
 
 
 def _looks_like_coordinate(value: str) -> bool:

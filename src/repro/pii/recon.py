@@ -318,8 +318,13 @@ class ReconClassifier:
         self.trained_types: set = set()
 
     @staticmethod
-    def make_example(request: CapturedRequest, labels: set) -> TrainingExample:
-        parsed = parse_request(request)
+    def make_example(
+        request: CapturedRequest, labels: set, parsed: Optional[tuple] = None
+    ) -> TrainingExample:
+        """``parsed`` is the request's :func:`parse_request` pair when
+        the caller already has it; otherwise the request is parsed here."""
+        if parsed is None:
+            parsed = parse_request(request)
         return TrainingExample(
             features=featurize(request, parsed), domain=_domain(parsed[0]), labels=set(labels)
         )
@@ -363,14 +368,16 @@ class ReconClassifier:
             return specialist
         return self._global.get(pii_type)
 
-    def predict(self, request: CapturedRequest) -> list:
+    def predict(self, request: CapturedRequest, parsed: Optional[tuple] = None) -> list:
         """Predict PII types present in ``request``.
 
         Returns :class:`ReconPrediction` records above the threshold,
         each with the heuristically extracted key/value when one of the
-        type's synonym keys is present.
+        type's synonym keys is present.  ``parsed`` is the request's
+        :func:`parse_request` pair when the caller already has it.
         """
-        parsed = parse_request(request)
+        if parsed is None:
+            parsed = parse_request(request)
         features = featurize(request, parsed)
         url, fields = parsed
         domain = _domain(url)
@@ -423,8 +430,9 @@ def train_from_traces(
             if not flow.decrypted:
                 continue
             for txn in flow.transactions:
-                labels = {m.pii_type for m in matcher.match_request(txn.request)}
-                examples.append(ReconClassifier.make_example(txn.request, labels))
+                parsed = parse_request(txn.request)
+                labels = {m.pii_type for m in matcher.match_request(txn.request, parsed=parsed)}
+                examples.append(ReconClassifier.make_example(txn.request, labels, parsed=parsed))
     if classifier is None:
         classifier = ReconClassifier()
     return classifier.fit(examples)

@@ -16,7 +16,7 @@ Paths compared against the ``workers=1`` batch reference:
 - the columnar aggregation engine and every consumer rendered from it
   vs the row-wise walk in :mod:`repro.qa.reference`;
 - campaign folds, shard counts and merge orders vs a serial campaign;
-- the Aho–Corasick matcher vs the reference's linear scan
+- the literal-set matcher vs the reference's linear scan
   (:class:`~repro.qa.reference.LinearGroundTruthMatcher`) per decrypted
   transaction and per generated probe text;
 - the indexed EasyList engine vs :func:`repro.qa.reference.match_linear`
@@ -550,7 +550,7 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
                     )
                 )
 
-    # -- automaton vs linear PII matcher -------------------------------------
+    # -- literal-set vs linear PII matcher -----------------------------------
     for record in sorted(dataset, key=lambda r: r.key):
         fast = GroundTruthMatcher(record.ground_truth)
         slow = refimpl.LinearGroundTruthMatcher(record.ground_truth)

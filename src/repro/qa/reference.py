@@ -1,7 +1,7 @@
 """Reference implementations the product's fast paths are pinned against.
 
 The product keeps one path per stage: the columnar aggregation engine
-(:mod:`repro.analysis.columnar`), the Aho–Corasick PII matcher and the
+(:mod:`repro.analysis.columnar`), the literal-set PII matcher and the
 indexed EasyList engine.  The plain implementations they replaced live
 here, used only by the QA oracle, the tests and the benchmarks as the
 expected side of every equivalence pin:
@@ -21,7 +21,8 @@ expected side of every equivalence pin:
   :class:`ReferenceReconClassifier`, which fits its trees with it.
 
 ``python -m repro.qa.reference analyze DATASET`` prints the report
-``repro analyze DATASET`` prints, computed through this module.
+``repro analyze DATASET`` prints, computed through this module: the
+row-wise tables over sessions detected by :class:`LinearGroundTruthMatcher`.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def summarize_drift(before, after):
 
 class LinearGroundTruthMatcher(GroundTruthMatcher):
     """The ground-truth matcher with the per-form substring scan in
-    place of the Aho–Corasick pass, and no memos: every text and every
+    place of the literal-set probe, and no memos: every text and every
     request is scanned afresh, so a wrong memo key or a stale memo entry
     in the product shows up as a difference."""
 
@@ -301,10 +302,10 @@ class LinearGroundTruthMatcher(GroundTruthMatcher):
             return []
         return self._scan(text)
 
-    def match_request(self, request) -> list:
+    def match_request(self, request, parsed=None) -> list:
         self._memo.clear()
         self._request_memo.clear()
-        return super().match_request(request)
+        return super().match_request(request, parsed=parsed)
 
     def _scan(self, text: str) -> list:
         found: dict = {}
@@ -440,7 +441,7 @@ def match_linear(filters, url: str, page_host: str = "", resource_type: str = "o
 
 
 def main(argv=None) -> int:
-    from ..core.pipeline import analyze_dataset
+    from ..core import pipeline
     from ..experiment.dataset import Dataset
     from ..services.catalog import build_catalog
 
@@ -461,9 +462,17 @@ def main(argv=None) -> int:
     dataset = Dataset.load(args.dataset)
     slugs = set(dataset.services())
     services = [s for s in build_catalog() if s.slug in slugs]
-    study = analyze_dataset(
-        dataset, services, train_recon=not args.no_recon, executor="serial"
-    )
+    # Detect with the per-form scan as well, so one diff against `repro
+    # analyze` pins the matcher and the aggregation together.  The serial
+    # run keeps every session in this process, where the swap holds.
+    product_matcher_for = pipeline.matcher_for
+    pipeline.matcher_for = LinearGroundTruthMatcher
+    try:
+        study = pipeline.analyze_dataset(
+            dataset, services, train_recon=not args.no_recon, executor="serial"
+        )
+    finally:
+        pipeline.matcher_for = product_matcher_for
     print(render_table1(table1(study)))
     print()
     print(render_table3(table3(study)))

@@ -260,6 +260,38 @@ def _random_texts(seed: int, count: int = 14) -> tuple:
             texts.append("; ".join(f"{rng.choice(_WORDS)}={v}" for v in tokens))
         else:
             texts.append(" ".join(tokens))
+    return tuple(texts) + _glued_texts(seed, pairs)
+
+
+_HEX_SET = frozenset("0123456789abcdef")
+
+
+def _glued_texts(seed: int, pairs: list, count: int = 3) -> tuple:
+    """Hash digests and long digit IDs glued into longer runs of their
+    own character class, with no delimiter: planted whole, as a near
+    miss, or with the tail of a second form run on."""
+    forms = sorted(
+        form
+        for _, value in pairs
+        for form in variants(value)
+        if (len(form) >= 32 and set(form) <= _HEX_SET) or (len(form) >= 15 and form.isdigit())
+    )
+    rng = _sub_rng(seed, "glued")
+    texts = []
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            form = rng.choice(forms)
+            alphabet = "0123456789" if form.isdigit() else "0123456789abcdef"
+            roll = rng.random()
+            if roll < 0.3:
+                form = _mutate_value(rng, form)
+            elif roll < 0.5:
+                other = rng.choice(forms)
+                form += other[rng.randrange(len(other)):]
+            pad = rng.randint(0, 8)
+            pieces.append("".join(rng.choice(alphabet) for _ in range(pad)) + form)
+        texts.append("".join(pieces))
     return tuple(texts)
 
 

@@ -25,6 +25,31 @@ class TestCollectAnalyze:
         assert "All" in analyzed
         assert "Unique ID" in analyzed
 
+    def test_reference_analyze_detects_with_linear_matcher(self, tmp_path, capsys, monkeypatch):
+        from repro.core import pipeline
+        from repro.pii.matcher import matcher_for
+        from repro.qa import reference
+
+        built = []
+
+        class CountingLinear(reference.LinearGroundTruthMatcher):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(reference, "LinearGroundTruthMatcher", CountingLinear)
+        out_dir = tmp_path / "study"
+        main(["collect", "--out", str(out_dir), "--services", "indeed", "--duration", "40"])
+        capsys.readouterr()
+        assert main(["analyze", str(out_dir)]) == 0
+        product = capsys.readouterr().out
+        assert reference.main(["analyze", str(out_dir)]) == 0
+        assert capsys.readouterr().out == product
+        # Every session was labelled and analyzed by the linear scan, and
+        # the product factory is back in place afterwards.
+        assert len(built) == 8
+        assert pipeline.matcher_for is matcher_for
+
     def test_collect_manifest_carries_ground_truth(self, tmp_path):
         out_dir = tmp_path / "study"
         main(["collect", "--out", str(out_dir), "--services", "indeed", "--duration", "30"])

@@ -80,7 +80,7 @@ class TestDetector:
 
     def test_recon_verification_drops_false_positive(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, parsed=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [
@@ -95,7 +95,7 @@ class TestDetector:
 
     def test_recon_verified_prediction_kept(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, parsed=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [ReconPrediction(PiiType.EMAIL, 0.9, "em", "signup99@testmail.example")]
@@ -110,7 +110,7 @@ class TestDetector:
 
     def test_both_methods_merge(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, parsed=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [ReconPrediction(PiiType.EMAIL, 0.8, "email", "signup99@testmail.example")]
@@ -121,6 +121,35 @@ class TestDetector:
         )
         assert len(observations) == 1
         assert observations[0].detected_by_both
+
+    def test_matcher_and_recon_share_one_parse(self, monkeypatch):
+        from repro.pii import matcher, recon
+
+        examples = [
+            recon.ReconClassifier.make_example(
+                CapturedRequest("GET", f"https://t.example/c?email=u{i}@x.example&v={i}"),
+                {PiiType.EMAIL} if i % 2 else set(),
+            )
+            for i in range(20)
+        ]
+        classifier = recon.ReconClassifier().fit(examples)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(recon, "extract_fields", counting(recon.extract_fields))
+        monkeypatch.setattr(matcher, "extract_fields", counting(matcher.extract_fields))
+        flow = flow_with("https://t.example/c?email=signup99@testmail.example")
+        observations, _ = self._detector(recon=classifier).scan_transaction(
+            flow, flow.transactions[0]
+        )
+        assert len(calls) == 1
+        assert observations[0].key == "email"
 
 
 def make_observation(pii_type, hostname, plaintext=False):

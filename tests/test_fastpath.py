@@ -1,7 +1,7 @@
 """Equivalence and property tests for the fast-path detection engine.
 
 Every fast path in the detection stack is pinned to its original
-implementation, kept in :mod:`repro.qa.reference`: the Aho–Corasick
+implementation, kept in :mod:`repro.qa.reference`: the literal-set
 matcher against the per-form scan (``LinearGroundTruthMatcher``), and
 the indexed EasyList engine against the whole-list probe
 (``match_linear``).  These tests pin the equivalences — the
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import string
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.pipeline import analyze_dataset, run_study
 from repro.experiment.runner import ExperimentRunner
 from repro.net.flow import CapturedRequest
-from repro.pii.automaton import AhoCorasick
+from repro.pii.automaton import FormSet
 from repro.pii.encodings import encode_value, variants
 from repro.pii.matcher import GroundTruthMatcher, matcher_for
 from repro.pii.types import PiiType
@@ -29,56 +29,87 @@ from repro.services.world import build_world
 from repro.trackerdb.easylist import bundled_easylist
 
 # ---------------------------------------------------------------------------
-# Automaton unit tests
+# Literal form set unit tests
+
+
+_HEX = "0123456789abcdef"
+_MD5 = "0cc175b9c0f1b6a831c399e269772661"
+_TAIL = "86f7e437faa5a7fc"
+_IMEI = "358240051234567"
+
+
+@st.composite
+def _glued_class_case(draw):
+    """Hex digests and long digit IDs, and a text glued from them, their
+    tails and random hex, so planted patterns sit inside longer class
+    runs, overlap each other, or only partly occur."""
+    patterns = draw(
+        st.lists(
+            st.one_of(
+                st.text(alphabet=_HEX, min_size=15, max_size=72),
+                st.text(alphabet=string.digits, min_size=15, max_size=72),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(patterns),
+                st.sampled_from(patterns).map(lambda p: p[len(p) // 2 :]),
+                st.text(alphabet=_HEX, max_size=40),
+                st.sampled_from(["&", "=", "x"]),
+            ),
+            max_size=8,
+        )
+    )
+    return patterns, "".join(pieces)
 
 
 class TestAhoCorasick:
-    def test_overlapping_patterns_all_found(self):
-        ac = AhoCorasick(["he", "she", "his", "hers"])
-        assert ac.find_all("ushers") == {"he", "she", "hers"}
+    """:class:`FormSet` keeps the automaton's contract: every distinct
+    pattern occurring in the text, overlapping occurrences included."""
 
-    def test_iter_matches_reports_overlaps_with_positions(self):
-        ac = AhoCorasick(["he", "she", "hers"])
-        matches = sorted(ac.iter_matches("ushers"))
-        assert matches == [(1, "she"), (2, "he"), (2, "hers")]
+    def test_overlapping_patterns_all_found(self):
+        forms = FormSet(["he", "she", "his", "hers"])
+        assert forms.find_all("ushers") == {"he", "she", "hers"}
 
     def test_duplicates_and_empties_dropped(self):
-        ac = AhoCorasick(["abc", "", "abc", "bc"])
-        assert ac.patterns == ("abc", "bc")
-        assert len(ac) == 2
+        forms = FormSet(["abc", "", "abc", "bc"])
+        assert forms.patterns == ("abc", "bc")
+        assert len(forms) == 2
 
     def test_no_hit_returns_empty_set(self):
-        ac = AhoCorasick(["needle", "pin"])
-        assert ac.find_all("a perfectly ordinary haystack") == set()
+        forms = FormSet(["needle", "pin"])
+        assert forms.find_all("a perfectly ordinary haystack") == set()
 
     def test_pattern_inside_larger_text(self):
-        ac = AhoCorasick(["token=secret"])
-        assert ac.find_all("https://x.example/?token=secret&y=1") == {
+        forms = FormSet(["token=secret"])
+        assert forms.find_all("https://x.example/?token=secret&y=1") == {
             "token=secret"
         }
 
     def test_hex_digest_found_without_individual_shingle(self):
-        # 32+ char pure-hex patterns are prescreened as a class, not one
-        # shingle each — the class probe must not lose them.
+        # 32+ char pure-hex patterns are probed only when a hex run
+        # occurs — the class probe must not lose them.
         digest = "d41d8cd98f00b204e9800998ecf8427e"
-        ac = AhoCorasick([digest])
-        assert ac._shingles == ()  # screened by the class regex alone
-        assert ac.find_all(f"uid={digest}&x=1") == {digest}
-        assert ac.find_all("uid=none") == set()
+        forms = FormSet([digest])
+        assert forms.find_all(f"uid={digest}&x=1") == {digest}
+        assert forms.find_all("uid=none") == set()
 
     def test_long_digit_run_found_without_individual_shingle(self):
         imei = "358240051234567"
-        ac = AhoCorasick([imei])
-        assert ac._shingles == ()
-        assert ac.find_all(f"imei={imei}") == {imei}
-        assert ac.find_all("imei=00000") == set()
+        forms = FormSet([imei])
+        assert forms.find_all(f"imei={imei}") == {imei}
+        assert forms.find_all("imei=00000") == set()
 
     def test_mixed_class_and_plain_patterns(self):
         digest = "a" * 40  # pure hex, sha1-length
-        ac = AhoCorasick([digest, "plainword", "1234567890123456"])
-        assert ac.find_all(f"x={digest}") == {digest}
-        assert ac.find_all("has plainword inside") == {"plainword"}
-        assert ac.find_all("n=1234567890123456") == {"1234567890123456"}
+        forms = FormSet([digest, "plainword", "1234567890123456"])
+        assert forms.find_all(f"x={digest}") == {digest}
+        assert forms.find_all("has plainword inside") == {"plainword"}
+        assert forms.find_all("n=1234567890123456") == {"1234567890123456"}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -90,9 +121,19 @@ class TestAhoCorasick:
         text=st.text(alphabet=string.ascii_lowercase + string.digits + ":/?=&.", max_size=120),
     )
     def test_find_all_agrees_with_naive_substring_search(self, patterns, text):
-        ac = AhoCorasick(patterns)
-        expected = {p for p in ac.patterns if p in text}
-        assert ac.find_all(text) == expected
+        forms = FormSet(patterns)
+        expected = {p for p in forms.patterns if p in text}
+        assert forms.find_all(text) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_glued_class_case())
+    @example(case=([_MD5], f"ff{_MD5}00"))  # a digest inside a longer hex run
+    @example(case=([_MD5, _MD5[16:] + _TAIL], _MD5 + _TAIL))  # two overlapping digests
+    @example(case=([_IMEI], f"12{_IMEI}345"))  # a 15-digit ID inside a 20-digit run
+    @example(case=([_IMEI], "12358240051234566345"))  # a near miss inside one
+    def test_class_patterns_agree_with_naive_substring_search(self, case):
+        patterns, text = case
+        assert FormSet(patterns).find_all(text) == {p for p in patterns if p in text}
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +370,7 @@ class TestParallelAnalysis:
 
     def test_collected_traffic_fast_slow_identical(self):
         """End to end: every captured request matches identically under
-        the automaton fast path and the per-form reference scan."""
+        the literal-set fast path and the per-form reference scan."""
         dataset, _ = self._dataset()
         checked = 0
         for record in dataset:

@@ -4,7 +4,7 @@ import base64
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net.flow import CapturedRequest
 from repro.pii import encodings
@@ -169,6 +169,30 @@ class TestMatcher:
     def test_gps_not_matched_outside_tolerance(self):
         matches = self._matcher().match_text("lat=42.9999&lon=-70.0000")
         assert not any(m.encoding == "coordinate" for m in matches)
+
+    @given(
+        coord=st.floats(min_value=-180.0, max_value=180.0),
+        offset=st.floats(min_value=-0.05, max_value=0.05),
+        decimals=st.integers(min_value=2, max_value=6),
+        pad=st.sampled_from(["", "0", "00", "1", "9", "-", "x", "."]),
+    )
+    @example(coord=42.985, offset=0.015, decimals=2, pad="")  # "43.00" across the integer
+    @example(coord=-42.985, offset=-0.015, decimals=2, pad="")
+    @example(coord=7.5, offset=0.0, decimals=2, pad="00")  # "007.50"
+    def test_gps_prescreen_never_drops_a_token(self, coord, offset, decimals, pad):
+        # Tokens near a known coordinate, with prefixes that change how
+        # the token regex splits them (leading zeros, extra digits, a
+        # sign): the matcher's substring prescreen must agree with a
+        # plain tolerance check over every regex token.
+        from repro.pii.matcher import _COORD_RE, GPS_TOLERANCE
+
+        raw = f"{coord:.6f}"
+        text = f"lat={pad}{float(raw) + offset:.{decimals}f}&v=1"
+        expected = any(
+            abs(float(token) - float(raw)) <= GPS_TOLERANCE for token in _COORD_RE.findall(text)
+        )
+        matches = GroundTruthMatcher({PiiType.LOCATION: [raw]}).match_text(text)
+        assert any(m.encoding == "coordinate" for m in matches) == expected
 
     def test_zip_needs_digit_boundaries(self):
         # "02115" buried inside a longer number must not match.

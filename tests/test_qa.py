@@ -141,6 +141,23 @@ class TestScenarioGeneration:
         for pii_type in (PiiType.EMAIL, PiiType.UNIQUE_ID, PiiType.DEVICE_INFO):
             assert truth.get(pii_type), f"missing {pii_type}"
 
+    def test_probe_texts_glue_class_forms_into_longer_runs(self):
+        from repro.pii.encodings import variants
+
+        forms = {
+            form
+            for values in scenario_ground_truth(4).values()
+            for value in values
+            for form in variants(value)
+            if len(form) >= 15 and form.isalnum()
+        }
+        glued = [
+            text
+            for text in generate_scenario(4).texts
+            if text.isalnum() and any(form in text and form != text for form in forms)
+        ]
+        assert glued, "no probe text plants a form inside a longer run"
+
     def test_hash_seed_independence(self):
         """The generator must not depend on Python's hash randomization."""
         script = (
